@@ -119,7 +119,7 @@ def cmd_solve(args) -> int:
             return 1
     else:
         init = solvers.nearest_neighbor(inst)
-        result = solvers.local_search(inst, init, budget=args.budget, seed=args.seed)
+        result = solvers.local_search(inst, init, budget=args.budget)
     print("order=%s" % format_order_spec(result.order))
     print("cost=%r" % result.cost.value)
     print("evaluations=%d" % result.evaluations)
@@ -177,18 +177,25 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# The keyword each suite takes for --seeds and --size; an unset --size
+# leaves the suite's own default.
+SUITE_OPTIONS = {
+    "oracle": {"seeds": "seeds", "size": "size"},
+    "equivalence": {"seeds": "instances"},
+    "reduction": {"seeds": "instances", "size": "m_high"},
+    "bijection": {"size": "m_max"},
+    "eulerian-contrast": {},
+}
+
+
 def cmd_verify(args) -> int:
-    suite = verify.SUITES[args.suite]
-    if args.suite == "oracle":
-        ok, lines = suite(size=args.size, seeds=args.seeds)
-    elif args.suite == "equivalence":
-        ok, lines = suite(instances=args.seeds)
-    elif args.suite == "reduction":
-        ok, lines = suite(instances=args.seeds, m_high=args.size if args.size else 8)
-    elif args.suite == "bijection":
-        ok, lines = suite(m_max=args.size if args.size else 6)
-    else:
-        ok, lines = suite()
+    options = SUITE_OPTIONS[args.suite].items()
+    kwargs = {kw: getattr(args, opt) for opt, kw in options if getattr(args, opt) is not None}
+    try:
+        ok, lines = verify.SUITES[args.suite](**kwargs)
+    except ValueError as exc:
+        print("error=%s" % exc, file=sys.stderr)
+        return 2
     print("suite=%s" % args.suite)
     for line in lines:
         print(line)
@@ -217,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
     p.add_argument("--budget", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("path")
     p.set_defaults(func=cmd_solve)
 
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a structural verification suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
     p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--size", type=int, default=10)
+    p.add_argument("--size", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     return ap

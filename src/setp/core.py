@@ -122,6 +122,33 @@ def step_endpoints(step: tuple[int, int], edges: tuple[Edge, ...]) -> tuple[int,
     return (v, u) if direction else (u, v)
 
 
+def eulerian_violations(vertices, edges) -> list[str]:
+    """Odd-degree, not-connected and no-edges violations of a multigraph.
+
+    Self-loops and endpoints outside `vertices` are skipped; an empty list
+    means every vertex has even degree and those with edges are connected.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        for w, x in ((u, v), (v, u)):
+            if u != v and w in adj:
+                adj[w].append(x)  # x may be unknown: it counts for degree, and the walk stops there
+    violations = ["odd degree %d at vertex %d" % (len(adj[v]), v) for v in vertices if len(adj[v]) % 2]
+    active = [v for v in vertices if adj[v]]
+    if not active:
+        return violations + ["graph has no edges"]
+    seen = {active[0]}
+    stack = [active[0]]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if not seen.issuperset(active):
+        violations.append("graph not connected on vertices with edges")
+    return violations
+
+
 def validate_original(inst: OriginalInstance) -> list[str]:
     """Check all OriginalInstance invariants; return one message per violation."""
     violations = []
@@ -130,7 +157,6 @@ def validate_original(inst: OriginalInstance) -> list[str]:
         violations.append("duplicate vertex ids")
     if len(inst.dist) != len(inst.edges):
         violations.append("dist length %d != edge count %d" % (len(inst.dist), len(inst.edges)))
-    degree = {v: 0 for v in inst.vertices}
     for eid, (u, v) in enumerate(inst.edges):
         if u == v:
             violations.append("self-loop at edge %d (vertex %d)" % (eid, u))
@@ -138,30 +164,7 @@ def validate_original(inst: OriginalInstance) -> list[str]:
         for w in (u, v):
             if w not in vset:
                 violations.append("edge %d references unknown vertex %d" % (eid, w))
-            else:
-                degree[w] += 1
-    for v in inst.vertices:
-        if degree[v] % 2 != 0:
-            violations.append("odd degree %d at vertex %d" % (degree[v], v))
-    # connectivity over vertices of nonzero degree
-    active = [v for v in inst.vertices if degree[v] > 0]
-    if active:
-        adj: dict[int, list[int]] = {v: [] for v in vset}
-        for u, v in inst.edges:
-            if u != v and u in vset and v in vset:
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = {active[0]}
-        stack = [active[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if not all(v in seen for v in active):
-            violations.append("graph not connected on vertices with edges")
-    else:
-        violations.append("graph has no edges")
+    violations += eulerian_violations(inst.vertices, inst.edges)
     for eid, d in enumerate(inst.dist):
         if d < 0:
             violations.append("negative distance %g on edge %d" % (d, eid))

@@ -28,20 +28,27 @@ class ExpectedCost:
     stderr: float = 0.0
 
 
-def _oriented_endpoints(order: AprioriOrder, inst: SimplifiedInstance):
-    """Tail and head vertex arrays, one entry per cyclic position."""
+def _oriented_rows(inst: SimplifiedInstance, seqs, orients):
+    """Tail vertex, head vertex and service probability at each position.
+
+    `seqs` and `orients` are (sequence, orientation) rows: 1-D for one order
+    or 2-D (rows, n) for a batch; the three results have the same shape.
+    """
+    seqs = np.asarray(seqs, dtype=int)
+    flip = np.asarray(orients, dtype=bool)
+    ends = np.asarray(inst.R, dtype=int)[seqs]
+    a = np.where(flip, ends[..., 1], ends[..., 0])
+    b = np.where(flip, ends[..., 0], ends[..., 1])
+    return a, b, inst.p[seqs]
+
+
+def _order_rows(order: AprioriOrder, inst: SimplifiedInstance):
+    """`_oriented_rows` of one order, after checking it against the instance."""
     if order.n != inst.n:
         raise ValueError("order size %d != instance |R| = %d" % (order.n, inst.n))
     if sorted(order.sequence) != list(range(inst.n)):
         raise ValueError("order sequence is not a permutation of 0..n-1")
-    R = np.asarray(inst.R, dtype=int)
-    seq = np.asarray(order.sequence, dtype=int)
-    flip = np.asarray(order.orient, dtype=bool)
-    u = R[seq, 0]
-    v = R[seq, 1]
-    a = np.where(flip, v, u)
-    b = np.where(flip, u, v)
-    return a, b
+    return _oriented_rows(inst, order.sequence, order.orient)
 
 
 def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -49,9 +56,9 @@ def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarr
 
     `a`, `b` hold tail/head vertex ids per cyclic position, shaped (n,) or
     (rows, n); `W` holds per-position service weights in [0,1], shaped
-    (rows, n). With 0/1 indicator rows the result is the scenario tour cost;
-    with probability rows it is the expected cost (by linearity over the
-    "position i served, next served is i+t" events).
+    (n,) or (rows, n). With 0/1 indicator rows the result is the scenario
+    tour cost; with probability rows it is the expected cost (by linearity
+    over the "position i served, next served is i+t" events).
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     n = W.shape[1]
@@ -73,17 +80,14 @@ def aposteriori_cost(order: AprioriOrder, s: Scenario, inst: SimplifiedInstance)
     """Tour length actually driven for one realization."""
     if len(s.served) != inst.n:
         raise ValueError("scenario size %d != instance |R| = %d" % (len(s.served), inst.n))
-    a, b = _oriented_endpoints(order, inst)
-    seq = np.asarray(order.sequence, dtype=int)
-    served = np.asarray(s.served, dtype=float)[seq]
-    return float(weighted_tour_costs(inst.D, a, b, served[None, :])[0])
+    a, b, _ = _order_rows(order, inst)
+    served = np.asarray(s.served, dtype=float)[list(order.sequence)]
+    return float(weighted_tour_costs(inst.D, a, b, served)[0])
 
 
 def expected_cost_closed_form(order: AprioriOrder, inst: SimplifiedInstance) -> ExpectedCost:
     """O(n^2) expected cost from per-position service and skip probabilities."""
-    a, b = _oriented_endpoints(order, inst)
-    p = inst.p[np.asarray(order.sequence, dtype=int)]
-    value = float(weighted_tour_costs(inst.D, a, b, p[None, :])[0])
+    value = float(weighted_tour_costs(inst.D, *_order_rows(order, inst))[0])
     return ExpectedCost(value=value, method=CLOSED_FORM)
 
 
@@ -100,8 +104,7 @@ def expected_cost_enumeration(
     n = inst.n
     if n > max_n:
         raise ValueError("enumeration over 2^%d scenarios exceeds the guard n <= %d" % (n, max_n))
-    a, b = _oriented_endpoints(order, inst)
-    p = inst.p[np.asarray(order.sequence, dtype=int)]
+    a, b, p = _order_rows(order, inst)
     S = scenario_matrix(n)
     probs = np.prod(np.where(S, p, 1.0 - p), axis=1)
     total = 0.0
@@ -118,8 +121,7 @@ def expected_cost_monte_carlo(
     """Sample mean of the scenario cost; reproducible for a fixed seed."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    a, b = _oriented_endpoints(order, inst)
-    p = inst.p[np.asarray(order.sequence, dtype=int)]
+    a, b, p = _order_rows(order, inst)
     rng = np.random.default_rng(seed)
     costs = np.empty(samples)
     chunk = 1 << 14

@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 import numpy as np
 
-from .core import Edge, EulerianTour, OriginalInstance
+from .core import Edge, EulerianTour, OriginalInstance, eulerian_violations
 
 
 class Multigraph:
@@ -44,19 +44,7 @@ class Multigraph:
 
 def is_eulerian(g: Multigraph) -> bool:
     """True iff every nonzero-degree vertex has even degree and they are connected."""
-    active = [v for v in g.vertices if g.degree(v) > 0]
-    if not active:
-        return False
-    if any(g.degree(v) % 2 for v in active):
-        return False
-    seen = {active[0]}
-    stack = [active[0]]
-    while stack:
-        for _, w in g.adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return all(v in seen for v in active)
+    return not eulerian_violations(g.vertices, g.edges)
 
 
 def hierholzer(g: Multigraph, start: int) -> EulerianTour:

@@ -11,9 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AprioriOrder, SimplifiedInstance, canonicalize
-from .evaluate import CLOSED_FORM, ExpectedCost, expected_cost_closed_form, weighted_tour_costs
+from .evaluate import CLOSED_FORM, ExpectedCost, _oriented_rows, expected_cost_closed_form
+from .evaluate import scenario_matrix, weighted_tour_costs
 
 BRUTE_FORCE_GUARD = 9
+# Bound on rows * n per cost-kernel call, so a batch's temporaries stay a few MB.
+BATCH_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -22,18 +25,6 @@ class SolveResult:
     cost: ExpectedCost
     evaluations: int
     wall_time: float
-
-
-def _batch_costs(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> np.ndarray:
-    """Closed-form expected cost for a batch of (sequence, orientation) rows."""
-    R = np.asarray(inst.R, dtype=int)
-    u = R[seqs, 0]
-    v = R[seqs, 1]
-    flip = orients.astype(bool)
-    a = np.where(flip, v, u)
-    b = np.where(flip, u, v)
-    p = inst.p[seqs]
-    return weighted_tour_costs(inst.D, a, b, p)
 
 
 def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> SolveResult:
@@ -47,12 +38,12 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     if n > max_n:
         raise ValueError("brute force over (n-1)!*2^n candidates exceeds the guard n <= %d" % max_n)
     t0 = time.perf_counter()
-    orients = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int8)
+    orients = scenario_matrix(n)
     n_or = orients.shape[0]
     best_cost = np.inf
     best_key = None
     evaluations = 0
-    chunk = max(1, (1 << 16) // n_or)
+    chunk = max(1, BATCH_CELLS // (n_or * n))
     perm_iter = itertools.permutations(range(1, n))
     while True:
         block = list(itertools.islice(perm_iter, chunk))
@@ -64,7 +55,7 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
         )
         seqs_full = np.repeat(seqs, n_or, axis=0)
         orients_full = np.tile(orients, (len(block), 1))
-        costs = _batch_costs(inst, seqs_full, orients_full)
+        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs_full, orients_full))
         evaluations += costs.shape[0]
         lo = float(costs.min())
         if lo <= best_cost:
@@ -110,33 +101,22 @@ def nearest_neighbor(inst: SimplifiedInstance, start_edge: int = 0) -> AprioriOr
     return canonicalize(AprioriOrder(tuple(seq), tuple(orient)))
 
 
-def _neighbors(order: AprioriOrder):
-    """2-opt segment reversals (flipping orientations inside the segment) and
-    single orientation flips."""
-    seq = list(order.sequence)
-    orient = list(order.orient)
-    n = len(seq)
-    for i in range(n):
-        o2 = orient.copy()
-        o2[i] ^= 1
-        yield AprioriOrder(tuple(seq), tuple(o2))
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if i == 0 and j == n - 1:
-                continue  # reversing the whole cycle = relabeling, no new tour
-            s2 = seq[:i] + seq[i : j + 1][::-1] + seq[j + 1 :]
-            o2 = orient[:i] + [o ^ 1 for o in orient[i : j + 1][::-1]] + orient[j + 1 :]
-            yield AprioriOrder(tuple(s2), tuple(o2))
+def _moved(seq: np.ndarray, orient: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """(sequence, orientation) rows, one per move: positions i..j reversed and
+    their orientations flipped. i == j is a single orientation flip."""
+    pos = np.arange(len(seq))
+    i, j = i[:, None], j[:, None]
+    inside = (i <= pos) & (pos <= j)
+    src = np.where(inside, i + j - pos, pos)
+    return seq[src], orient[src] ^ inside
 
 
-def local_search(
-    inst: SimplifiedInstance,
-    init: AprioriOrder,
-    budget: int = 1_000_000,
-    seed: int = 0,
-) -> SolveResult:
+def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_000_000) -> SolveResult:
     """Best-improvement descent over the 2-opt + orientation-flip neighborhood.
 
+    A sweep scores all single flips, then the 2-opt moves (i, j) in
+    lexicographic order (except (0, n-1), which only relabels the cycle), and
+    moves to the first neighbor of least cost if it is strictly better.
     Stops at a local optimum or when `budget` cost evaluations are spent.
     Never returns a cost worse than the initial solution.
     """
@@ -144,23 +124,30 @@ def local_search(
     current = canonicalize(init)
     cost = expected_cost_closed_form(current, inst).value
     evaluations = 1
+    n = inst.n
+    pi, pj = np.triu_indices(n, 1)
+    keep = (pi != 0) | (pj != n - 1)
+    move_i = np.concatenate([np.arange(n), pi[keep]])
+    move_j = np.concatenate([np.arange(n), pj[keep]])
+    step = max(1, BATCH_CELLS // n)
     improved = True
     while improved and evaluations < budget:
-        improved = False
-        best_nb = None
-        best_cost = cost
-        for nb in _neighbors(current):
-            if evaluations >= budget:
-                break
-            c = expected_cost_closed_form(nb, inst).value
-            evaluations += 1
-            if c < best_cost:
-                best_cost = c
-                best_nb = nb
-        if best_nb is not None:
-            current = canonicalize(best_nb)
+        seq = np.asarray(current.sequence)
+        orient = np.asarray(current.orient)
+        k = min(len(move_i), budget - evaluations)
+        costs = np.empty(k)
+        for lo in range(0, k, step):
+            hi = min(k, lo + step)
+            rows = _moved(seq, orient, move_i[lo:hi], move_j[lo:hi])
+            costs[lo:hi] = weighted_tour_costs(inst.D, *_oriented_rows(inst, *rows))
+        evaluations += k
+        costs[~(costs < cost)] = np.inf  # only strict improvements compete; NaN never wins
+        best = int(np.argmin(costs))
+        improved = bool(costs[best] < cost)
+        if improved:
+            s2, o2 = _moved(seq, orient, move_i[best : best + 1], move_j[best : best + 1])
+            current = canonicalize(AprioriOrder(s2[0], o2[0]))
             cost = expected_cost_closed_form(current, inst).value
-            improved = True
     return SolveResult(
         order=current,
         cost=ExpectedCost(value=cost, method=CLOSED_FORM),

@@ -88,6 +88,9 @@ def _small_original(seed: int, max_edges: int):
 
 def reduction_suite(instances: int = 50, m_low: int = 4, m_high: int = 8):
     """Gadget optimum vs TSP optimum, and TSP-optimality of the lifted tour."""
+    guard = solvers.BRUTE_FORCE_GUARD
+    if not m_low <= m_high <= guard:
+        raise ValueError("m_high=%d is outside %d..%d (m_low to the brute-force guard)" % (m_high, m_low, guard))
     ok = True
     worst = 0.0
     lifted_optimal = 0

@@ -121,6 +121,6 @@ def test_8_determinism(tmp_path):
     ok = ok and a.read_bytes() == b.read_bytes()
     ev_args = ("evaluate", path, "0+,2-,1+,4+,3-,5+", "--method", "mc", "--samples", "5000", "--seed", "9")
     ok = ok and run(*ev_args) == run(*ev_args)
-    solve_args = ("solve", "--heuristic", "--seed", "4", path)
+    solve_args = ("solve", "--heuristic", path)
     ok = ok and run(*solve_args) == run(*solve_args)
     report("determinism", ok)

@@ -204,6 +204,17 @@ class TestVerifyCommand:
         assert res.returncode == 0
         assert "result=pass" in res.stdout
 
+    def test_reduction_default_size(self):
+        res = run_cli("verify", "--suite", "reduction", "--seeds", "2")
+        assert res.returncode == 0
+        assert "lifted_optimal=2" in res.stdout
+
+    @pytest.mark.parametrize("size", ["2", "10"])
+    def test_reduction_size_out_of_range_usage_error(self, size):
+        res = run_cli("verify", "--suite", "reduction", "--size", size, "--seeds", "1")
+        assert res.returncode == 2
+        assert "error=" in res.stderr and "Traceback" not in res.stderr
+
     def test_eulerian_contrast(self):
         res = run_cli("verify", "--suite", "eulerian-contrast")
         assert res.returncode == 0

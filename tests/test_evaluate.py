@@ -9,6 +9,8 @@ from setp.evaluate import (
     expected_cost_monte_carlo,
     expected_cost_original,
     expected_cost_original_direct,
+    _oriented_rows,
+    weighted_tour_costs,
 )
 from setp.graph import Multigraph, all_eulerian_tours, hierholzer
 from setp.transforms import gen_random_original, gen_random_simplified
@@ -99,6 +101,15 @@ class TestClosedForm:
         cf = expected_cost_closed_form(order, inst).value
         en = expected_cost_enumeration(order, inst).value
         assert abs(cf - en) <= 1e-9 * max(1.0, abs(en))
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 30])
+    def test_batch_rows_bit_equal_to_single_orders(self, n):
+        inst = gen_random_simplified(n, seed=n, metric=(n % 2 == 0))
+        orders = [random_order(n, 300 + k) for k in range(40)]
+        seqs = np.array([o.sequence for o in orders])
+        orients = np.array([o.orient for o in orders])
+        batch = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs, orients))
+        assert batch.tolist() == [expected_cost_closed_form(o, inst).value for o in orders]
 
     def test_rotation_invariance_of_expectation(self):
         inst = gen_random_simplified(5, seed=11)

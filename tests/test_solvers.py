@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setp.core import AprioriOrder, SimplifiedInstance, canonicalize, validate_simplified
 from setp.evaluate import expected_cost_closed_form
+from setp import solvers
 from setp.solvers import brute_force, brute_force_tsp, local_search, nearest_neighbor
 from setp.transforms import gen_random_simplified
 
@@ -79,7 +84,7 @@ class TestLocalSearch:
     def test_returns_init_when_optimal(self):
         inst = gen_random_simplified(5, seed=17)
         opt = brute_force(inst)
-        res = local_search(inst, opt.order, seed=0)
+        res = local_search(inst, opt.order)
         assert res.cost.value == pytest.approx(opt.cost.value, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -87,7 +92,7 @@ class TestLocalSearch:
         inst = gen_random_simplified(7, seed=seed)
         init = nearest_neighbor(inst)
         init_cost = expected_cost_closed_form(init, inst).value
-        res = local_search(inst, init, seed=seed)
+        res = local_search(inst, init)
         assert res.cost.value <= init_cost + 1e-12
 
     def test_respects_budget(self):
@@ -100,12 +105,74 @@ class TestLocalSearch:
         total = 40
         for seed in range(total):
             inst = gen_random_simplified(6, seed=1000 + seed)
-            res = local_search(inst, nearest_neighbor(inst), seed=seed)
+            res = local_search(inst, nearest_neighbor(inst))
             opt = brute_force(inst)
             assert res.cost.value >= opt.cost.value - 1e-12
             if res.cost.value <= opt.cost.value * 1.25 + 1e-12:
                 close += 1
         assert close >= 0.9 * total
+
+
+def reference_local_search(inst, init, budget):
+    """Descent that builds every neighbor as an AprioriOrder and scores it
+    with its own closed-form call; `local_search` must match it exactly."""
+
+    def neighbors(order):
+        seq = list(order.sequence)
+        orient = list(order.orient)
+        n = len(seq)
+        for i in range(n):
+            o2 = orient.copy()
+            o2[i] ^= 1
+            yield AprioriOrder(tuple(seq), tuple(o2))
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                if i == 0 and j == n - 1:
+                    continue
+                s2 = seq[:i] + seq[i : j + 1][::-1] + seq[j + 1 :]
+                o2 = orient[:i] + [o ^ 1 for o in orient[i : j + 1][::-1]] + orient[j + 1 :]
+                yield AprioriOrder(tuple(s2), tuple(o2))
+
+    current = canonicalize(init)
+    cost = expected_cost_closed_form(current, inst).value
+    evaluations = 1
+    improved = True
+    while improved and evaluations < budget:
+        improved = False
+        best_nb = None
+        best_cost = cost
+        for nb in neighbors(current):
+            if evaluations >= budget:
+                break
+            c = expected_cost_closed_form(nb, inst).value
+            evaluations += 1
+            if c < best_cost:
+                best_cost = c
+                best_nb = nb
+        if best_nb is not None:
+            current = canonicalize(best_nb)
+            cost = expected_cost_closed_form(current, inst).value
+            improved = True
+    return current, cost, evaluations
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+    metric=st.booleans(),
+    budget=st.integers(1, 4000),
+    chunk_rows=st.one_of(st.none(), st.integers(1, 20)),
+)
+def test_local_search_matches_per_neighbor_reference(n, seed, metric, budget, chunk_rows):
+    inst = gen_random_simplified(n, seed=seed, metric=metric)
+    rng = np.random.default_rng(seed)
+    init = AprioriOrder(tuple(rng.permutation(n)), tuple(rng.integers(0, 2, size=n)))
+    # A small row bound splits each sweep over several kernel calls, as at large n.
+    cells = solvers.BATCH_CELLS if chunk_rows is None else chunk_rows * n
+    with mock.patch.object(solvers, "BATCH_CELLS", cells):
+        res = local_search(inst, init, budget=budget)
+    assert (res.order, res.cost.value, res.evaluations) == reference_local_search(inst, init, budget)
 
 
 class TestBruteForceTsp:
