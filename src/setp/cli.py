@@ -8,9 +8,8 @@ Timing goes to stderr so that seeded runs are byte-reproducible on stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
-import numpy as np
 
 from . import serialize, solvers, transforms, verify
 from .core import (
@@ -46,49 +45,58 @@ def format_order_spec(order: AprioriOrder) -> str:
     return ",".join("%d%s" % (i, "-" if o else "+") for i, o in zip(order.sequence, order.orient))
 
 
-def _load(path):
-    try:
-        return serialize.load(path)
-    except FileNotFoundError:
-        print("error=cannot read %s" % path, file=sys.stderr)
-        raise SystemExit(2)
-    except serialize.FormatError as exc:
-        print("error=%s" % exc, file=sys.stderr)
-        raise SystemExit(2)
+def positive(convert):
+    """argparse type: `convert` the option's text and require a positive, finite value."""
+    def parse(text):
+        value = convert(text)
+        if not 0 < value < math.inf:  # NaN fails too
+            raise argparse.ArgumentTypeError("must be positive and finite, got %s" % text)
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _as_simplified(inst, epsilon=None):
-    """Simplified instance for evaluation/solving; originals are reduced."""
+# The kind each instance type is stored as.
+KINDS = {OriginalInstance: "original", SimplifiedInstance: "simplified", transforms.TspInstance: "tsp"}
+
+
+def _load(path, *kinds):
+    """The instance stored at `path` if it is one of `kinds`; exits 1 with one
+    violation= line per broken invariant if it is invalid."""
+    inst = serialize.load(path)
+    kind = KINDS[type(inst)]
+    if kind not in kinds:
+        raise serialize.FormatError("%s holds a %s instance, not %s" % (path, kind, " or ".join(kinds)))
+    check = {"original": validate_original, "simplified": validate_simplified}.get(kind)
+    violations = check(inst) if check else []  # a TspInstance checks its matrix when it is built
+    for v in violations:
+        print("violation=%s" % v)
+    if violations:
+        raise SystemExit(1)
+    return inst
+
+
+def _reduce(inst, epsilon=None):
+    """Simplified form of a loaded instance and its vertex map (None if it
+    already is simplified); prints the epsilon a reduction used."""
     if isinstance(inst, SimplifiedInstance):
         return inst, None
-    if isinstance(inst, OriginalInstance):
-        if epsilon is None:
-            epsilon = transforms.default_epsilon(inst.dist)
-        simp, _ = transforms.simplify(inst, epsilon)
-        print("epsilon=%r" % epsilon)
-        return simp, epsilon
-    print("error=expected an original or simplified instance", file=sys.stderr)
-    raise SystemExit(2)
+    tsp = isinstance(inst, transforms.TspInstance)
+    if epsilon is None:
+        epsilon = transforms.default_epsilon(inst.C if tsp else inst.dist)
+    simp, vmap = (transforms.tsp_to_setp if tsp else transforms.simplify)(inst, epsilon)
+    print("epsilon=%r" % epsilon)
+    return simp, vmap
 
 
 def cmd_validate(args) -> int:
-    inst = _load(args.path)
-    if isinstance(inst, OriginalInstance):
-        violations = validate_original(inst)
-    elif isinstance(inst, SimplifiedInstance):
-        violations = validate_simplified(inst)
-    else:
-        violations = []  # TspInstance invariants hold by construction
-    if violations:
-        for v in violations:
-            print("violation=%s" % v)
-        return 1
+    _load(args.path, *KINDS.values())
     print("OK")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    inst, _ = _as_simplified(_load(args.path))
+    inst, _ = _reduce(_load(args.path, "original", "simplified"))
     try:
         order = parse_order_spec(args.order, inst.n)
     except ValueError as exc:
@@ -110,13 +118,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst, _ = _as_simplified(_load(args.path))
+    inst, _ = _reduce(_load(args.path, "original", "simplified"))
     if args.exact:
-        try:
-            result = solvers.brute_force(inst)
-        except ValueError as exc:
-            print("error=%s" % exc, file=sys.stderr)
-            return 1
+        result = solvers.brute_force(inst)
     else:
         init = solvers.nearest_neighbor(inst)
         result = solvers.local_search(inst, init, budget=args.budget)
@@ -128,47 +132,23 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    inst = _load(args.path)
-    if args.epsilon is not None and args.epsilon <= 0:
-        print("error=epsilon must be positive", file=sys.stderr)
-        return 2
-    if args.source == "tsp":
-        if not isinstance(inst, transforms.TspInstance):
-            print("error=%s is not a tsp instance" % args.path, file=sys.stderr)
-            return 2
-        epsilon = args.epsilon
-        if epsilon is None:
-            epsilon = transforms.default_epsilon(inst.C[np.triu_indices(inst.m, 1)])
-        simp, vmap = transforms.tsp_to_setp(inst, epsilon)
-    else:
-        if not isinstance(inst, OriginalInstance):
-            print("error=%s is not an original instance" % args.path, file=sys.stderr)
-            return 2
-        epsilon = args.epsilon
-        if epsilon is None:
-            epsilon = transforms.default_epsilon(inst.dist)
-        simp, vmap = transforms.simplify(inst, epsilon)
+    simp, vmap = _reduce(_load(args.path, args.source), args.epsilon)
     out = args.out or (args.path + ".simplified.json")
     serialize.save(simp, out)
     serialize.save_vertex_map(vmap, out + ".map")
-    print("epsilon=%r" % epsilon)
     print("instance=%s" % out)
     print("map=%s" % (out + ".map"))
     return 0
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.kind == "simplified":
-            obj = transforms.gen_random_simplified(args.n, seed=args.seed, metric=args.metric)
-        elif args.kind == "tsp":
-            obj = transforms.gen_random_tsp(args.n, seed=args.seed)
-        else:
-            n_req = args.required if args.required else max(1, args.e // 3)
-            obj = transforms.gen_random_original(args.v, args.e, n_req, seed=args.seed)
-    except ValueError as exc:
-        print("error=%s" % exc, file=sys.stderr)
-        return 2
+    if args.kind == "simplified":
+        obj = transforms.gen_random_simplified(args.n, seed=args.seed, metric=args.metric)
+    elif args.kind == "tsp":
+        obj = transforms.gen_random_tsp(args.n, seed=args.seed)
+    else:
+        n_req = args.required if args.required else max(1, args.e // 3)
+        obj = transforms.gen_random_original(args.v, args.e, n_req, seed=args.seed)
     if args.out:
         serialize.save(obj, args.out)
         print("instance=%s" % args.out)
@@ -191,11 +171,7 @@ SUITE_OPTIONS = {
 def cmd_verify(args) -> int:
     options = SUITE_OPTIONS[args.suite].items()
     kwargs = {kw: getattr(args, opt) for opt, kw in options if getattr(args, opt) is not None}
-    try:
-        ok, lines = verify.SUITES[args.suite](**kwargs)
-    except ValueError as exc:
-        print("error=%s" % exc, file=sys.stderr)
-        return 2
+    ok, lines = verify.SUITES[args.suite](**kwargs)
     print("suite=%s" % args.suite)
     for line in lines:
         print(line)
@@ -215,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("order", help="comma list of edge indices with +/- orientation, e.g. 0+,2-,1+")
     p.add_argument("--method", choices=["closed", "enum", "mc"], default="closed")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=positive(int), default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
@@ -230,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce tsp/original to the simplified form")
     p.add_argument("path")
     p.add_argument("--from", dest="source", choices=["tsp", "original"], required=True)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=positive(float), default=None)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_reduce)
 
@@ -260,6 +236,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (OSError, ValueError) as exc:
+        print("error=%s" % exc, file=sys.stderr)
+        # A file that cannot be read or parsed, and an option value that gen or
+        # verify rejects, are usage errors; any other ValueError is a library
+        # check on a valid instance, such as a solver's size guard.
+        usage = isinstance(exc, (OSError, serialize.FormatError)) or args.command in ("gen", "verify")
+        return 2 if usage else 1
 
 
 if __name__ == "__main__":

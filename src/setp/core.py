@@ -9,6 +9,7 @@ orientations; solutions to the original form are Eulerian tours.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,10 +167,14 @@ def validate_original(inst: OriginalInstance) -> list[str]:
                 violations.append("edge %d references unknown vertex %d" % (eid, w))
     violations += eulerian_violations(inst.vertices, inst.edges)
     for eid, d in enumerate(inst.dist):
-        if d < 0:
+        if not math.isfinite(d):
+            violations.append("non-finite distance %g on edge %d" % (d, eid))
+        elif d < 0:
             violations.append("negative distance %g on edge %d" % (d, eid))
     if inst.depot not in vset:
         violations.append("depot %d is not a vertex" % inst.depot)
+    elif not any(inst.depot in e for e in inst.edges):
+        violations.append("depot %d has no edges" % inst.depot)
     if len(set(inst.required)) != len(inst.required):
         violations.append("duplicate required edge ids")
     for eid in inst.required:
@@ -185,21 +190,32 @@ def validate_original(inst: OriginalInstance) -> list[str]:
     return violations
 
 
+def matrix_violations(M: np.ndarray, name: str) -> list[str]:
+    """Check that M is a square, finite, symmetric, nonnegative matrix with
+    zero diagonal; `name` is what its entries measure ("distance", "cost")."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        return ["%s matrix is not square" % name]
+    violations = []
+    if not np.all(np.isfinite(M)):
+        violations.append("non-finite %s entry" % name)
+    if not np.array_equal(M, M.T, equal_nan=True):
+        violations.append("%s matrix not symmetric" % name)
+    if np.any(np.diag(M) != 0.0):
+        violations.append("nonzero diagonal in %s matrix" % name)
+    if np.any(M < 0):
+        violations.append("negative %s entry" % name)
+    return violations
+
+
 def validate_simplified(inst: SimplifiedInstance) -> list[str]:
     """Check all SimplifiedInstance invariants; return one message per violation."""
-    violations = []
     D = inst.D
+    violations = matrix_violations(D, "distance")
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        return ["distance matrix is not square"]
+        return violations
     size = D.shape[0]
     if size != 2 * inst.n:
         violations.append("matrix size %d != 2 * |R| = %d" % (size, 2 * inst.n))
-    if not np.array_equal(D, D.T):
-        violations.append("distance matrix not symmetric")
-    if np.any(np.diag(D) != 0.0):
-        violations.append("nonzero diagonal in distance matrix")
-    if np.any(D < 0):
-        violations.append("negative distance entry")
     cover: dict[int, int] = {}
     for i, (u, v) in enumerate(inst.R):
         for w in (u, v):
@@ -214,6 +230,8 @@ def validate_simplified(inst: SimplifiedInstance) -> list[str]:
             violations.append("vertex %d not covered by R" % w)
         elif c > 1:
             violations.append("vertex %d covered %d times by R" % (w, c))
+    if inst.p.ndim != 1:
+        return violations + ["probability vector is not one-dimensional"]
     if len(inst.p) != inst.n:
         violations.append("probability vector length %d != |R| = %d" % (len(inst.p), inst.n))
     for i, q in enumerate(inst.p):

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AprioriOrder, EulerianTour, OriginalInstance, Scenario, SimplifiedInstance
+from . import transforms
+from .core import AprioriOrder, EulerianTour, OriginalInstance, Scenario, SimplifiedInstance, induced_order
+from .graph import Multigraph, all_pairs_shortest_paths
 
 ENUMERATION_GUARD = 20
 
@@ -150,10 +152,6 @@ def expected_cost_original(
     depot edge prepended) and runs the chosen simplified evaluator. The
     depot edge contributes at most 2*epsilon to the value.
     """
-    from . import transforms  # local import; transforms depends on this module
-
-    from .core import induced_order
-
     simp, _ = transforms.simplify(inst, epsilon=epsilon)
     order = transforms.attach_depot_edge(induced_order(tour, inst), inst.n)
     if method == CLOSED_FORM:
@@ -178,9 +176,6 @@ def aposteriori_cost_original(
     and last edge -> depot via shortest paths. Used as the oracle for the
     simplified composition.
     """
-    from .core import induced_order
-    from .graph import Multigraph, all_pairs_shortest_paths
-
     if len(s.served) != inst.n:
         raise ValueError("scenario size %d != |R| = %d" % (len(s.served), inst.n))
     g = Multigraph.from_instance(inst)
@@ -207,8 +202,6 @@ def aposteriori_cost_original(
 
 def expected_cost_original_direct(tour: EulerianTour, inst: OriginalInstance) -> ExpectedCost:
     """Oracle expectation: enumerate all scenarios against the direct walker."""
-    from .graph import Multigraph, all_pairs_shortest_paths
-
     n = inst.n
     if n > ENUMERATION_GUARD:
         raise ValueError("enumeration over 2^%d scenarios exceeds the guard n <= %d" % (n, ENUMERATION_GUARD))

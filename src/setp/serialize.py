@@ -2,7 +2,7 @@
 
 Three kinds are supported: original, simplified and tsp, plus the vertex-map
 sidecar written by `reduce`. Numbers round-trip losslessly (shortest-repr
-JSON floats).
+JSON floats); NaN and infinities are neither written nor read.
 """
 
 from __future__ import annotations
@@ -69,13 +69,13 @@ def from_document(doc: dict[str, Any]):
             )
         if kind == "tsp":
             return TspInstance(np.asarray(doc["C"], dtype=float))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError("malformed %s document: %s" % (kind, exc)) from exc
     raise FormatError("unknown kind %r" % kind)
 
 
 def dumps(obj) -> str:
-    return json.dumps(to_document(obj), indent=1) + "\n"
+    return json.dumps(to_document(obj), indent=1, allow_nan=False) + "\n"
 
 
 def save(obj, path) -> None:
@@ -83,13 +83,21 @@ def save(obj, path) -> None:
         fh.write(dumps(obj))
 
 
-def load(path):
+def _reject_constant(token: str):
+    raise ValueError("%s is not a finite number" % token)
+
+
+def _read(path):
+    """The JSON document in a file; OSError if the file cannot be read."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 and JSON errors are ValueErrors
         raise FormatError("invalid JSON: %s" % exc) from exc
-    return from_document(doc)
+
+
+def load(path):
+    return from_document(_read(path))
 
 
 def save_vertex_map(vmap: VertexMap, path) -> None:
@@ -100,8 +108,7 @@ def save_vertex_map(vmap: VertexMap, path) -> None:
 
 
 def load_vertex_map(path) -> VertexMap:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read(path)
     if doc.get("format") != FORMAT or doc.get("kind") != "vertex_map":
         raise FormatError("not a %s vertex_map document" % FORMAT)
     return {int(k): int(v) for k, v in doc["map"].items()}

@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, canonicalize
+from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, canonicalize, matrix_violations
 from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian
 
 VertexMap = dict[int, int]
 
 
 def default_epsilon(lengths) -> float:
-    """1e-6 times the smallest positive length; 1e-6 if all lengths are zero."""
-    positive = [float(d) for d in lengths if d > 0]
-    return 1e-6 * min(positive) if positive else 1e-6
+    """1e-6 times the smallest positive entry of the array-like `lengths`; 1e-6 if none is."""
+    lengths = np.ravel(np.asarray(lengths, dtype=float))
+    positive = lengths[lengths > 0]
+    return 1e-6 * float(positive.min()) if positive.size else 1e-6
 
 
 def embed_depot(g: Multigraph, dist, depot: int):
@@ -70,7 +71,9 @@ def simplify(inst: OriginalInstance, epsilon: float | None = None):
     origin.extend([inst.depot, inst.depot])
     size = 2 * (n + 1)
     idx = [g.index(v) for v in origin]
-    D = sp[np.ix_(idx, idx)].copy()
+    D = sp[np.ix_(idx, idx)]
+    # per-source Dijkstra can sum one path in two orders; make D exactly symmetric
+    D = np.minimum(D, D.T)
     np.fill_diagonal(D, 0.0)
     for i, eid in enumerate(inst.required):
         D[2 * i, 2 * i + 1] = D[2 * i + 1, 2 * i] = float(inst.dist[eid])
@@ -82,18 +85,13 @@ def simplify(inst: OriginalInstance, epsilon: float | None = None):
 
 
 class TspInstance:
-    """Symmetric TSP cost matrix with zero diagonal."""
+    """Symmetric, finite, nonnegative TSP cost matrix with zero diagonal."""
 
     def __init__(self, C):
         C = np.asarray(C, dtype=float)
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise ValueError("cost matrix must be square")
-        if not np.array_equal(C, C.T):
-            raise ValueError("cost matrix must be symmetric")
-        if np.any(np.diag(C) != 0.0):
-            raise ValueError("cost matrix diagonal must be zero")
-        if np.any(C < 0):
-            raise ValueError("costs must be nonnegative")
+        violations = matrix_violations(C, "cost")
+        if violations:
+            raise ValueError("; ".join(violations))
         C.setflags(write=False)
         self.C = C
 
@@ -192,7 +190,8 @@ def gen_random_eulerian(v: int, e: int, seed: int):
         rng.shuffle(odd)
         while odd:
             a = odd.pop()
-            b = min(odd, key=lambda u: (sp[g.index(a), g.index(u)], u))
+            rest = np.asarray(odd)  # g's vertices are 0..v-1, so each is its own index in sp
+            b = int(rest[np.lexsort((rest, sp[a, rest]))[0]])
             odd.remove(b)
             for eid in _shortest_path_edges(g, dist, a, b):
                 edges.append(g.edges[eid])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import evaluate, solvers, transforms
-from .core import AprioriOrder, canonicalize, induced_order
+from .core import AprioriOrder, OriginalInstance, canonicalize, induced_order
 from .graph import Multigraph, all_eulerian_tours
 
 
@@ -98,7 +98,7 @@ def reduction_suite(instances: int = 50, m_low: int = 4, m_high: int = 8):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(m_low, m_high + 1))
         tsp = transforms.gen_random_tsp(m, seed)
-        epsilon = 1e-6 * float(np.min(tsp.C[tsp.C > 0]))
+        epsilon = transforms.default_epsilon(tsp.C)
         gadget, vmap = transforms.tsp_to_setp(tsp, epsilon)
         setp_opt = solvers.brute_force(gadget)
         _, tsp_opt = solvers.brute_force_tsp(tsp.C)
@@ -150,8 +150,6 @@ def eulerian_contrast_suite(threshold: float = 1e-3):
     dist = [1.0, 2.0, 3.0, 1.5, 2.5, 0.5]
     g = Multigraph(vertices, edges)
     g, dist, v0 = transforms.embed_depot(g, dist, 0)
-    from .core import OriginalInstance
-
     inst = OriginalInstance(
         vertices=g.vertices,
         edges=g.edges,

@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from setp import serialize
+from setp import cli, serialize
 from setp.cli import format_order_spec, parse_order_spec
 from setp.core import AprioriOrder
 from setp.transforms import gen_random_original, gen_random_simplified, gen_random_tsp
@@ -219,3 +221,198 @@ class TestVerifyCommand:
         res = run_cli("verify", "--suite", "eulerian-contrast")
         assert res.returncode == 0
         assert "cost_spread=" in res.stdout
+
+
+# A valid document of each kind; the n=10 and n=21 ones reach the exact and
+# enumeration size guards.
+BASE = {
+    "simplified": serialize.to_document(gen_random_simplified(4, seed=3)),
+    "simplified10": serialize.to_document(gen_random_simplified(10, seed=4)),
+    "simplified21": serialize.to_document(gen_random_simplified(21, seed=5)),
+    "original": serialize.to_document(gen_random_original(5, 8, 2, seed=1)),
+    "tsp": serialize.to_document(gen_random_tsp(4, seed=2)),
+}
+# The lists whose entries a token mutation replaces.
+LEAVES = {"simplified": ("D", "p", "R"), "original": ("dist", "prob", "required", "edges", "vertices"), "tsp": ("C",)}
+TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "null", "-1.5", "1.7", "0"]
+COST_LINES = ("value=", "cost=", "order=")
+
+
+def order_size(doc):
+    """Edges in an order of the instance; simplify adds the depot edge to an original."""
+    if doc["kind"] == "original":
+        return len(doc["required"]) + 1
+    return len(doc["R"] if doc["kind"] == "simplified" else doc["C"])
+
+
+def spec(n):
+    return ",".join("%d+" % i for i in range(n))
+
+
+def with_token(doc, key, index, token):
+    """Document text with one numeric leaf set to a raw JSON token; in a
+    distance or cost matrix, both mirror entries."""
+    doc = json.loads(json.dumps(doc))
+    rows = doc[key]
+    i = index % len(rows)
+    if not isinstance(rows[i], list):
+        rows[i] = "@@"
+    elif key in ("D", "C"):
+        j = index // len(rows) % len(rows)
+        rows[i][j] = rows[j][i] = "@@"
+    else:
+        rows[i][index // len(rows) % len(rows[i])] = "@@"
+    return json.dumps(doc).replace('"@@"', token)
+
+
+def check_contract(capsys, argv):
+    """Exit code, stdout and stderr of one in-process CLI run, after checking
+    the exit-code contract: 0, 1 or 2, no traceback, a finite cost on
+    success and no cost on failure."""
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects usage errors itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    if code:
+        assert not [line for line in lines if line.startswith(COST_LINES)], (argv, out)
+    values = [float(line.split("=", 1)[1]) for line in lines if line.startswith(("value=", "cost="))]
+    assert np.all(np.isfinite(values)), (argv, out)
+    return code, out, err
+
+
+# The base documents each mutation applies to.
+MUTATIONS = {
+    "valid": sorted(BASE),
+    "token": sorted(BASE),
+    "shape": sorted(BASE),
+    "truncate": sorted(BASE),
+    "bytes": sorted(BASE),
+    "matching": ["simplified", "simplified10"],
+    "required": ["original"],
+    "depot": ["original"],
+    "empty": ["simplified", "original"],
+}
+
+
+@st.composite
+def mutated_file(draw):
+    """(base name, file bytes) for a valid or mutated document."""
+    how = draw(st.sampled_from(sorted(MUTATIONS)))
+    name = draw(st.sampled_from(MUTATIONS[how]))
+    doc = json.loads(json.dumps(BASE[name]))
+    kind = doc["kind"]
+    if how == "token":
+        key = draw(st.sampled_from(LEAVES[kind]))
+        text = with_token(doc, key, draw(st.integers(0, 500)), draw(st.sampled_from(TOKENS)))
+        return name, text.encode()
+    if how == "matching":
+        i = draw(st.integers(0, len(doc["R"]) - 1))
+        doc["R"][i][draw(st.integers(0, 1))] = draw(st.integers(-1, len(doc["D"])))
+    elif how == "required":
+        doc["required"][draw(st.integers(0, len(doc["required"]) - 1))] = draw(st.integers(-2, len(doc["edges"]) + 2))
+    elif how == "depot":
+        doc["vertices"].append(max(doc["vertices"]) + 1)  # an isolated vertex
+        doc["depot"] = draw(st.sampled_from([doc["vertices"][-1], max(doc["vertices"]) + 5, doc["vertices"][0]]))
+    elif how == "empty":
+        for key in ("R", "p") if kind == "simplified" else ("required", "prob"):
+            doc[key] = []
+    elif how == "shape":
+        key = draw(st.sampled_from(LEAVES[kind][:2]))
+        doc[key] = draw(st.sampled_from([[doc[key]], doc[key][0]]))
+    data = json.dumps(doc).encode()
+    if how == "truncate":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif how == "bytes":
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return name, data
+
+
+@st.composite
+def command(draw, path, n, out):
+    """argv for one subcommand on `path`, with mutated option values."""
+    which = draw(st.sampled_from(["validate", "evaluate", "solve", "reduce"]))
+    if which == "validate":
+        return ["validate", path]
+    if which == "evaluate":
+        method = draw(st.sampled_from(["closed", "enum", "mc"]))
+        argv = ["evaluate", path, spec(n), "--method", method]
+        if method == "mc":
+            argv += ["--samples", draw(st.sampled_from(["0", "-3", "1", "50"])), "--seed", "7"]
+        return argv
+    if which == "solve":
+        return ["solve", "--exact", path] if draw(st.booleans()) else ["solve", "--heuristic", "--budget", "60", path]
+    argv = ["reduce", path, "--from", draw(st.sampled_from(["tsp", "original"])), "-o", out]
+    if draw(st.booleans()):
+        argv += ["--epsilon", draw(st.sampled_from(["0", "nan", "-1", "inf", "1e-6"]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exit_code_contract(tmp_path, capsys, data):
+    """Every run on a mutated file or option exits 0, 1 or 2 without a
+    traceback, prints no cost on failure, and an invalid instance prints
+    the same violation= lines as validate."""
+    name, raw = data.draw(mutated_file())
+    where = data.draw(st.sampled_from(["file", "file", "file", "file", "directory", "missing"]))
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    if where == "directory":
+        path = tmp_path
+    elif where == "missing":
+        path = tmp_path / "missing.json"
+    argv = data.draw(command(str(path), order_size(BASE[name]), str(tmp_path / "out.json")))
+    code, out, _ = check_contract(capsys, argv)
+    violations = [line for line in out.splitlines() if line.startswith("violation=")]
+    if violations:
+        assert code == 1
+        v_code, v_out, _ = check_contract(capsys, ["validate", str(path)])
+        assert (v_code, v_out.splitlines()) == (1, violations)
+
+
+def simplified_doc(**changes):
+    return dict(BASE["simplified"], **changes)
+
+
+# One case per input that used to crash or be scored, and one per invariant
+# check added with them.
+PROBES = [
+    # (id, document text or None for a directory, argv with the path as {path}, exit code)
+    ("p-above-one", json.dumps(simplified_doc(p=[1.7, 0.5, 0.5, 0.5])), ["evaluate", "{path}", spec(4)], 1),
+    ("broken-matching", json.dumps(simplified_doc(R=[[0, 1], [1, 2], [4, 5], [6, 7]])), ["evaluate", "{path}", spec(4)], 1),
+    ("infinity-token-validate", with_token(BASE["simplified"], "D", 1, "Infinity"), ["validate", "{path}"], 2),
+    ("infinity-token-evaluate", with_token(BASE["simplified"], "D", 1, "Infinity"), ["evaluate", "{path}", spec(4)], 2),
+    ("infinity-token-exact", with_token(BASE["simplified"], "D", 1, "Infinity"), ["solve", "--exact", "{path}"], 2),
+    ("nan-token-exact", with_token(BASE["simplified"], "D", 1, "NaN"), ["solve", "--exact", "{path}"], 2),
+    ("overflow-to-infinity", with_token(BASE["simplified"], "D", 1, "1e999"), ["evaluate", "{path}", spec(4)], 1),
+    ("required-id-out-of-range", json.dumps(dict(BASE["original"], required=[0, 99])), ["evaluate", "{path}", spec(3)], 1),
+    ("directory", None, ["validate", "{path}"], 2),
+    ("non-utf8", '{"format": "setp/1", "kind": "\udcff"}', ["validate", "{path}"], 2),
+    ("samples-zero", json.dumps(BASE["simplified"]), ["evaluate", "{path}", spec(4), "--method", "mc", "--samples", "0"], 2),
+    ("enum-past-guard", json.dumps(BASE["simplified21"]), ["evaluate", "{path}", spec(21), "--method", "enum"], 1),
+    ("exact-past-guard", json.dumps(BASE["simplified10"]), ["solve", "--exact", "{path}"], 1),
+    ("reduce-epsilon-nan", json.dumps(BASE["tsp"]), ["reduce", "{path}", "--from", "tsp", "--epsilon", "nan"], 2),
+    ("deep-nesting", "[" * 100_000, ["validate", "{path}"], 2),
+    ("isolated-depot", json.dumps(dict(BASE["original"], vertices=BASE["original"]["vertices"] + [99], depot=99)),
+     ["evaluate", "{path}", spec(3)], 1),
+    ("infinite-edge-length", with_token(BASE["original"], "dist", 0, "1e999"), ["evaluate", "{path}", spec(3)], 1),
+    ("integer-overflow", with_token(BASE["original"], "required", 0, "1e999"), ["validate", "{path}"], 2),
+]
+
+
+@pytest.mark.parametrize("text, argv, expected", [p[1:] for p in PROBES], ids=[p[0] for p in PROBES])
+def test_cli_rejects_bad_input(tmp_path, capsys, text, argv, expected):
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "in.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, out, err = check_contract(capsys, [a.replace("{path}", str(path)) for a in argv])
+    assert code == expected
+    assert ("violation=" in out) == (expected == 1 and "guard" not in err)
+    assert not (tmp_path / "in.json.simplified.json").exists()  # reduce wrote nothing

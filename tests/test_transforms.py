@@ -91,9 +91,13 @@ class TestSimplify:
                 for h in range(k):
                     assert simp.D[i, j] <= simp.D[i, h] + simp.D[h, j] + 1e-12
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_validates_generator_output(self, seed):
-        inst = gen_random_original(5, 8, 2, seed=seed)
+    @pytest.mark.parametrize(
+        "v, e, n_required, seed",
+        [pytest.param(5, 8, 2, seed, id=str(seed)) for seed in range(5)]
+        + [pytest.param(v, 3 * v, 10, seed, id="v%d-%d" % (v, seed)) for v in (40, 300) for seed in range(20)],
+    )
+    def test_validates_generator_output(self, v, e, n_required, seed):
+        inst = gen_random_original(v, e, n_required, seed=seed)
         assert validate_original(inst) == []
         simp, _ = simplify(inst)
         assert validate_simplified(simp) == []
