@@ -2,8 +2,11 @@
 
 The a-posteriori tour serves the edges that need service in the a priori
 cyclic order, travels between them along matrix distances, and skips the
-rest. Expected cost is computed three ways: an O(n^2) closed form, exhaustive
-scenario enumeration (the ground-truth oracle), and seeded Monte Carlo.
+rest. One scenario's cost is an O(n) walk over the served positions.
+Expected cost is computed three ways: an O(n^2) closed form, exhaustive
+scenario enumeration (the ground-truth oracle), and seeded Monte Carlo;
+the last two average scenario costs and share no cost kernel with the
+closed form.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from .core import AprioriOrder, EulerianTour, OriginalInstance, Scenario, Simpli
 from .graph import Multigraph, all_pairs_shortest_paths
 
 ENUMERATION_GUARD = 20
+# Rows per `scenario_costs` call in enumeration and Monte Carlo.
+SCENARIO_CHUNK = 1 << 14
 
 CLOSED_FORM = "closed_form"
 ENUMERATION = "enumeration"
@@ -54,13 +59,13 @@ def _order_rows(order: AprioriOrder, inst: SimplifiedInstance):
 
 
 def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Core accumulation shared by every evaluator.
+    """Expected tour cost of probability rows, in O(n^2) per row.
 
     `a`, `b` hold tail/head vertex ids per cyclic position, shaped (n,) or
-    (rows, n); `W` holds per-position service weights in [0,1], shaped
-    (n,) or (rows, n). With 0/1 indicator rows the result is the scenario
-    tour cost; with probability rows it is the expected cost (by linearity
-    over the "position i served, next served is i+t" events).
+    (rows, n); `W` holds per-position service probabilities, shaped (n,) or
+    (rows, n). The cost sums, by linearity, over the events "position i
+    served, next served is i+t". The closed form and both solvers use it;
+    0/1 scenario rows go to `scenario_costs`.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     n = W.shape[1]
@@ -78,13 +83,36 @@ def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarr
     return cost
 
 
+def scenario_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """Tour length of each 0/1 service row, in O(n) per row.
+
+    `a`, `b` hold the tail/head vertex ids of one order, shaped (n,);
+    `served` is a bool array (rows, n) in the same position order. Each
+    served position adds its service term D[a_i, b_i] and the hop from its
+    head to the tail of the next served position, wrapping to the row's
+    first; a lone served edge hops back to its own tail, an empty row is 0.
+    """
+    served = np.atleast_2d(served)
+    n = served.shape[1]
+    pos = np.arange(n)
+    # first served position at or after each position, n if there is none
+    nxt = np.minimum.accumulate(np.where(served, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    succ = np.roll(nxt, -1, axis=1)
+    succ = np.where(succ < n, succ, nxt[:, :1])
+    # step[i, j]: serve position i, then hop to position j; column n (the
+    # successor in an empty row) is never served
+    step = np.zeros((n, n + 1))
+    step[:, :n] = D[a, b][:, None] + D[np.ix_(b, a)]
+    return np.where(served, step[pos, succ], 0.0).sum(axis=1)
+
+
 def aposteriori_cost(order: AprioriOrder, s: Scenario, inst: SimplifiedInstance) -> float:
     """Tour length actually driven for one realization."""
     if len(s.served) != inst.n:
         raise ValueError("scenario size %d != instance |R| = %d" % (len(s.served), inst.n))
     a, b, _ = _order_rows(order, inst)
-    served = np.asarray(s.served, dtype=float)[list(order.sequence)]
-    return float(weighted_tour_costs(inst.D, a, b, served)[0])
+    served = np.asarray(s.served, dtype=bool)[list(order.sequence)]
+    return float(scenario_costs(inst.D, a, b, served)[0])
 
 
 def expected_cost_closed_form(order: AprioriOrder, inst: SimplifiedInstance) -> ExpectedCost:
@@ -93,27 +121,32 @@ def expected_cost_closed_form(order: AprioriOrder, inst: SimplifiedInstance) -> 
     return ExpectedCost(value=value, method=CLOSED_FORM)
 
 
-def scenario_matrix(n: int) -> np.ndarray:
-    """All 2^n served indicators as a bool matrix, row k = bits of k."""
-    masks = np.arange(1 << n, dtype=np.int64)
+def scenario_matrix(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Served indicators of scenarios lo..hi-1 (default all 2^n) as a bool
+    matrix; the row of scenario k holds the bits of k, position i = bit i."""
+    masks = np.arange(lo, (1 << n) if hi is None else hi, dtype=np.int64)
     return (masks[:, None] >> np.arange(n)) & 1 == 1
 
 
 def expected_cost_enumeration(
     order: AprioriOrder, inst: SimplifiedInstance, max_n: int = ENUMERATION_GUARD
 ) -> ExpectedCost:
-    """Ground truth: sum of probability-weighted costs over all 2^n scenarios."""
+    """Ground truth: sum of probability-weighted costs over all 2^n scenarios.
+
+    Scenarios are scored in chunks of SCENARIO_CHUNK rows, so no 2^n x n
+    array is built; scenario k's probability is built up bit by bit.
+    """
     n = inst.n
     if n > max_n:
         raise ValueError("enumeration over 2^%d scenarios exceeds the guard n <= %d" % (n, max_n))
     a, b, p = _order_rows(order, inst)
-    S = scenario_matrix(n)
-    probs = np.prod(np.where(S, p, 1.0 - p), axis=1)
+    probs = np.ones(1)
+    for q in p:  # after position i, index k < 2^(i+1) holds P(bits 0..i of k)
+        probs = np.concatenate([probs * (1.0 - q), probs * q])
     total = 0.0
-    chunk = 1 << 14
-    for lo in range(0, S.shape[0], chunk):
-        costs = weighted_tour_costs(inst.D, a, b, S[lo : lo + chunk].astype(float))
-        total += float(probs[lo : lo + chunk] @ costs)
+    for lo in range(0, 1 << n, SCENARIO_CHUNK):
+        hi = min(1 << n, lo + SCENARIO_CHUNK)
+        total += float(probs[lo:hi] @ scenario_costs(inst.D, a, b, scenario_matrix(n, lo, hi)))
     return ExpectedCost(value=total, method=ENUMERATION)
 
 
@@ -126,11 +159,9 @@ def expected_cost_monte_carlo(
     a, b, p = _order_rows(order, inst)
     rng = np.random.default_rng(seed)
     costs = np.empty(samples)
-    chunk = 1 << 14
-    for lo in range(0, samples, chunk):
-        k = min(chunk, samples - lo)
-        served = (rng.random((k, len(p))) < p).astype(float)
-        costs[lo : lo + k] = weighted_tour_costs(inst.D, a, b, served)
+    for lo in range(0, samples, SCENARIO_CHUNK):
+        k = min(SCENARIO_CHUNK, samples - lo)
+        costs[lo : lo + k] = scenario_costs(inst.D, a, b, rng.random((k, len(p))) < p)
     if np.ptp(costs) == 0.0:  # degenerate draw: exact value, no error
         return ExpectedCost(value=float(costs[0]), method=MONTE_CARLO, stderr=0.0)
     mean = float(costs.mean())

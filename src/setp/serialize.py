@@ -47,6 +47,16 @@ def to_document(obj) -> dict[str, Any]:
     raise TypeError("cannot serialize %r" % type(obj))
 
 
+def _id(x) -> int:
+    """A vertex or edge id: an integer or integral float, not a bool
+    (`int()` alone would read 1.9 and `true` as 1)."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError("id %r is not an integer" % (x,))
+    return x
+
+
 def from_document(doc: dict[str, Any]):
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise FormatError("not a %s document" % FORMAT)
@@ -54,17 +64,17 @@ def from_document(doc: dict[str, Any]):
     try:
         if kind == "original":
             return OriginalInstance(
-                vertices=tuple(int(v) for v in doc["vertices"]),
-                edges=tuple((int(u), int(v)) for u, v in doc["edges"]),
+                vertices=tuple(_id(v) for v in doc["vertices"]),
+                edges=tuple((_id(u), _id(v)) for u, v in doc["edges"]),
                 dist=tuple(float(d) for d in doc["dist"]),
-                depot=int(doc["depot"]),
-                required=tuple(int(e) for e in doc["required"]),
+                depot=_id(doc["depot"]),
+                required=tuple(_id(e) for e in doc["required"]),
                 prob=tuple(float(q) for q in doc["prob"]),
             )
         if kind == "simplified":
             return SimplifiedInstance(
                 D=np.asarray(doc["D"], dtype=float),
-                R=tuple((int(u), int(v)) for u, v in doc["R"]),
+                R=tuple((_id(u), _id(v)) for u, v in doc["R"]),
                 p=np.asarray(doc["p"], dtype=float),
             )
         if kind == "tsp":
@@ -109,6 +119,10 @@ def save_vertex_map(vmap: VertexMap, path) -> None:
 
 def load_vertex_map(path) -> VertexMap:
     doc = _read(path)
-    if doc.get("format") != FORMAT or doc.get("kind") != "vertex_map":
+    if not (isinstance(doc, dict) and doc.get("format") == FORMAT and doc.get("kind") == "vertex_map"
+            and isinstance(doc.get("map"), dict)):
         raise FormatError("not a %s vertex_map document" % FORMAT)
-    return {int(k): int(v) for k, v in doc["map"].items()}
+    try:
+        return {int(k): _id(v) for k, v in doc["map"].items()}
+    except ValueError as exc:
+        raise FormatError("malformed vertex_map document: %s" % exc) from exc

@@ -59,6 +59,19 @@ class TestSerialization:
         with pytest.raises(serialize.FormatError):
             serialize.load(path)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[1, 2], {"map": [1, 2]}, {"map": {"0": 1.5}}, {"map": {"0": True}}, {"map": {"x": 1}}],
+        ids=["list", "map-list", "fractional-id", "boolean-id", "bad-key"],
+    )
+    def test_malformed_vertex_map(self, doc, tmp_path):
+        if isinstance(doc, dict):
+            doc = dict(format="setp/1", kind="vertex_map", **doc)
+        path = tmp_path / "bad.map"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.FormatError):
+            serialize.load_vertex_map(path)
+
 
 class TestValidateCommand:
     def test_valid_file(self, tmp_path):
@@ -403,6 +416,10 @@ PROBES = [
      ["evaluate", "{path}", spec(3)], 1),
     ("infinite-edge-length", with_token(BASE["original"], "dist", 0, "1e999"), ["evaluate", "{path}", spec(3)], 1),
     ("integer-overflow", with_token(BASE["original"], "required", 0, "1e999"), ["validate", "{path}"], 2),
+    ("fractional-id", json.dumps(dict(BASE["original"], required=[BASE["original"]["required"][0] + 0.9,
+                                                                  BASE["original"]["required"][1]])),
+     ["validate", "{path}"], 2),
+    ("boolean-id", json.dumps(simplified_doc(R=[[False, True]] + BASE["simplified"]["R"][1:])), ["validate", "{path}"], 2),
 ]
 
 

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from setp import evaluate
 from setp.core import AprioriOrder, Scenario, SimplifiedInstance, canonicalize
 from setp.evaluate import (
     aposteriori_cost,
@@ -10,6 +15,7 @@ from setp.evaluate import (
     expected_cost_original,
     expected_cost_original_direct,
     _oriented_rows,
+    scenario_costs,
     weighted_tour_costs,
 )
 from setp.graph import Multigraph, all_eulerian_tours, hierholzer
@@ -37,6 +43,83 @@ def random_order(n, seed):
             tuple(int(o) for o in rng.integers(0, 2, size=n)),
         )
     )
+
+
+def walk_cost(D, R, order, served):
+    """Reference scenario cost: a plain loop over the served edges in order,
+    each served along its orientation, then a hop to the next served tail."""
+    stops = []
+    for k, o in zip(order.sequence, order.orient):
+        if served[k]:
+            u, v = R[k]
+            stops.append((v, u) if o else (u, v))
+    total = 0.0
+    for i, (tail, head) in enumerate(stops):
+        total += D[tail, head] + D[head, stops[(i + 1) % len(stops)][0]]
+    return total
+
+
+@st.composite
+def instance_and_order(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    seed = draw(st.integers(0, 2**16))
+    inst = gen_random_simplified(n, seed=seed, metric=draw(st.booleans()))
+    rng = np.random.default_rng(seed)
+    order = AprioriOrder(tuple(int(i) for i in rng.permutation(n)), tuple(int(o) for o in rng.integers(0, 2, n)))
+    return inst, order
+
+
+class TestScenarioCosts:
+    @settings(max_examples=200, deadline=None)
+    @given(case=instance_and_order(), data=st.data())
+    def test_matches_python_walk(self, case, data):
+        inst, order = case
+        n = inst.n
+        lone = data.draw(st.integers(0, n - 1))
+        rows = [[False] * n, [i == lone for i in range(n)], [True] * n]
+        rows += data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6))
+        served = np.array(rows, dtype=bool)  # by edge id
+        a, b, _ = _oriented_rows(inst, order.sequence, order.orient)
+        got = scenario_costs(inst.D, a, b, served[:, list(order.sequence)])
+        want = [walk_cost(inst.D, inst.R, order, row) for row in rows]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got[0] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=instance_and_order(), data=st.data())
+    def test_enumeration_matches_closed_form(self, case, data):
+        inst, order = case
+        kinds = data.draw(st.lists(st.sampled_from(["zero", "one", "random"]), min_size=inst.n, max_size=inst.n))
+        p = np.array([{"zero": 0.0, "one": 1.0}.get(k, q) for k, q in zip(kinds, inst.p)])
+        inst = SimplifiedInstance(D=inst.D, R=inst.R, p=p)
+        cf = expected_cost_closed_form(order, inst).value
+        # A small chunk streams the scenarios over several calls, as at large n.
+        with mock.patch.object(evaluate, "SCENARIO_CHUNK", data.draw(st.sampled_from([5, 64, evaluate.SCENARIO_CHUNK]))):
+            en = expected_cost_enumeration(order, inst).value
+        assert abs(cf - en) <= 1e-9 * max(1.0, abs(cf))
+
+    def test_independent_of_the_closed_form_kernel(self, monkeypatch):
+        inst = gen_random_simplified(7, seed=13)
+        order = random_order(7, 13)
+        closed = expected_cost_closed_form(order, inst).value
+        # Monte Carlo's samples, redrawn as it draws them
+        positional = np.random.default_rng(5).random((3000, 7)) < inst.p[list(order.sequence)]
+        by_edge = np.empty_like(positional)
+        by_edge[:, list(order.sequence)] = positional
+        walks = [walk_cost(inst.D, inst.R, order, row) for row in by_edge]
+
+        def refuse(*args):
+            raise AssertionError("weighted_tour_costs called")
+
+        monkeypatch.setattr(evaluate, "weighted_tour_costs", refuse)
+        monkeypatch.setattr(evaluate, "SCENARIO_CHUNK", 100)  # several chunks in both evaluators
+        en = expected_cost_enumeration(order, inst).value
+        assert en == pytest.approx(closed, rel=1e-9)
+        mc = expected_cost_monte_carlo(order, inst, samples=3000, seed=5)
+        assert mc.value == pytest.approx(np.mean(walks), rel=1e-12)
+        assert mc.stderr == pytest.approx(np.std(walks, ddof=1) / np.sqrt(3000), rel=1e-9)
+        s = Scenario(tuple(bool(x) for x in by_edge[0]))
+        assert aposteriori_cost(order, s, inst) == pytest.approx(walks[0], rel=1e-12)
 
 
 class TestAposterioriCost:
