@@ -98,12 +98,8 @@ def scenario_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, served: np.ndarr
     # first served position at or after each position, n if there is none
     nxt = np.minimum.accumulate(np.where(served, pos, n)[:, ::-1], axis=1)[:, ::-1]
     succ = np.roll(nxt, -1, axis=1)
-    succ = np.where(succ < n, succ, nxt[:, :1])
-    # step[i, j]: serve position i, then hop to position j; column n (the
-    # successor in an empty row) is never served
-    step = np.zeros((n, n + 1))
-    step[:, :n] = D[a, b][:, None] + D[np.ix_(b, a)]
-    return np.where(served, step[pos, succ], 0.0).sum(axis=1)
+    succ = np.minimum(np.where(succ < n, succ, nxt[:, :1]), n - 1)
+    return np.where(served, D[a, b] + D[b, a[succ]], 0.0).sum(axis=1)
 
 
 def aposteriori_cost(order: AprioriOrder, s: Scenario, inst: SimplifiedInstance) -> float:
