@@ -190,53 +190,36 @@ def expected_cost_original(
     raise ValueError("unknown method %r" % method)
 
 
-def aposteriori_cost_original(
-    tour: EulerianTour,
-    s: Scenario,
-    inst: OriginalInstance,
-    sp: np.ndarray | None = None,
-) -> float:
-    """Direct original-form scenario cost, independent of the simplification.
-
-    Walks the tour, serves the realized required edges along the edges
-    themselves in tour order, and connects depot -> first edge, edge -> edge
-    and last edge -> depot via shortest paths. Used as the oracle for the
-    simplified composition.
-    """
-    if len(s.served) != inst.n:
-        raise ValueError("scenario size %d != |R| = %d" % (len(s.served), inst.n))
-    g = Multigraph.from_instance(inst)
-    if sp is None:
-        sp = all_pairs_shortest_paths(g, inst.dist)
-    order = induced_order(tour, inst)
-    stops = []  # (tail vertex, head vertex, service length) per served edge, tour order
-    for k, d in zip(order.sequence, order.orient):
-        if s.served[k]:
-            u, v = inst.edges[inst.required[k]]
-            tail, head = (v, u) if d else (u, v)
-            stops.append((tail, head, inst.dist[inst.required[k]]))
-    if not stops:
-        return 0.0
-    ix = g.index
-    total = sp[ix(inst.depot), ix(stops[0][0])]
-    for i, (tail, head, length) in enumerate(stops):
-        total += length
-        if i + 1 < len(stops):
-            total += sp[ix(head), ix(stops[i + 1][0])]
-    total += sp[ix(stops[-1][1]), ix(inst.depot)]
-    return float(total)
-
-
 def expected_cost_original_direct(tour: EulerianTour, inst: OriginalInstance) -> ExpectedCost:
-    """Oracle expectation: enumerate all scenarios against the direct walker."""
+    """Oracle expectation over all 2^n scenarios, independent of the simplification.
+
+    Each scenario walks the tour on the original graph: it serves its realized
+    required edges along the edges themselves in tour order and connects
+    depot -> first edge, edge -> edge and last edge -> depot via shortest
+    paths. Used as the oracle for the simplified composition.
+    """
     n = inst.n
     if n > ENUMERATION_GUARD:
         raise ValueError("enumeration over 2^%d scenarios exceeds the guard n <= %d" % (n, ENUMERATION_GUARD))
-    sp = all_pairs_shortest_paths(Multigraph.from_instance(inst), inst.dist)
+    g = Multigraph.from_instance(inst)
+    sp = all_pairs_shortest_paths(g, inst.dist).tolist()
+    order = induced_order(tour, inst)
+    stops = []  # (required index, tail, head, service length) in tour order; vertices as sp indices
+    for k, d in zip(order.sequence, order.orient):
+        u, v = inst.edges[inst.required[k]]
+        tail, head = (v, u) if d else (u, v)
+        stops.append((k, g.index(tail), g.index(head), inst.dist[inst.required[k]]))
+    depot = g.index(inst.depot)
     p = np.asarray(inst.prob)
     total = 0.0
     for S in scenario_matrix(n):
         pr = float(np.prod(np.where(S, p, 1.0 - p)))
         if pr > 0.0:
-            total += pr * aposteriori_cost_original(tour, Scenario(tuple(S)), inst, sp=sp)
+            cost, here = 0.0, depot
+            for k, tail, head, length in stops:
+                if S[k]:
+                    cost += sp[here][tail]
+                    cost += length
+                    here = head
+            total += pr * (cost + sp[here][depot])
     return ExpectedCost(value=total, method=ENUMERATION)

@@ -119,7 +119,6 @@ def all_pairs_shortest_paths(g: Multigraph, dist) -> np.ndarray:
     """
     k = len(g.vertices)
     W = np.full((k, k), np.inf)
-    np.fill_diagonal(W, 0.0)
     for eid, (u, v) in enumerate(g.edges):
         d = float(dist[eid])
         if d < 0:
@@ -127,6 +126,10 @@ def all_pairs_shortest_paths(g: Multigraph, dist) -> np.ndarray:
         i, j = g.index(u), g.index(v)
         if d < W[i, j]:
             W[i, j] = W[j, i] = d
-    # inf marks "no edge" so that zero-length edges survive the conversion
-    M = shortest_path(csgraph_from_dense(W, null_value=np.inf), method="D", directed=False)
-    return M
+    return metric_closure(W)
+
+
+def metric_closure(W: np.ndarray) -> np.ndarray:
+    """Shortest-path distances of the undirected graph whose dense length
+    matrix is `W`; +inf marks "no edge", so zero-length edges survive."""
+    return shortest_path(csgraph_from_dense(W, null_value=np.inf), method="D", directed=False)

@@ -57,6 +57,19 @@ def _id(x) -> int:
     return x
 
 
+def _numbers(x):
+    """`x`, checked to be a JSON number or nested lists of them (`float()` and
+    NumPy would also read `true` as 1.0 and "2" as 2.0)."""
+    kinds = set(map(type, x)) if isinstance(x, list) else {type(x)}
+    if list in kinds:
+        for item in x:
+            _numbers(item)
+    bad = kinds - {int, float, list}
+    if bad:
+        raise ValueError("%s entry is not a number" % min(t.__name__ for t in bad))
+    return x
+
+
 def from_document(doc: dict[str, Any]):
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise FormatError("not a %s document" % FORMAT)
@@ -66,19 +79,19 @@ def from_document(doc: dict[str, Any]):
             return OriginalInstance(
                 vertices=tuple(_id(v) for v in doc["vertices"]),
                 edges=tuple((_id(u), _id(v)) for u, v in doc["edges"]),
-                dist=tuple(float(d) for d in doc["dist"]),
+                dist=tuple(float(d) for d in _numbers(doc["dist"])),
                 depot=_id(doc["depot"]),
                 required=tuple(_id(e) for e in doc["required"]),
-                prob=tuple(float(q) for q in doc["prob"]),
+                prob=tuple(float(q) for q in _numbers(doc["prob"])),
             )
         if kind == "simplified":
             return SimplifiedInstance(
-                D=np.asarray(doc["D"], dtype=float),
+                D=np.asarray(_numbers(doc["D"]), dtype=float),
                 R=tuple((_id(u), _id(v)) for u, v in doc["R"]),
-                p=np.asarray(doc["p"], dtype=float),
+                p=np.asarray(_numbers(doc["p"]), dtype=float),
             )
         if kind == "tsp":
-            return TspInstance(np.asarray(doc["C"], dtype=float))
+            return TspInstance(np.asarray(_numbers(doc["C"]), dtype=float))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError("malformed %s document: %s" % (kind, exc)) from exc
     raise FormatError("unknown kind %r" % kind)

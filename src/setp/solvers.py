@@ -38,7 +38,9 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     if n > max_n:
         raise ValueError("brute force over (n-1)!*2^n candidates exceeds the guard n <= %d" % max_n)
     t0 = time.perf_counter()
-    orients = scenario_matrix(n)
+    # position 0 as the high bit: with permutations in lexicographic order, each
+    # chunk's rows come in lexicographic (sequence, orient) order
+    orients = scenario_matrix(n)[:, ::-1]
     n_or = orients.shape[0]
     best_cost = np.inf
     best_key = None
@@ -57,13 +59,10 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
         orients_full = np.tile(orients, (len(block), 1))
         costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs_full, orients_full))
         evaluations += costs.shape[0]
-        lo = float(costs.min())
-        if lo <= best_cost:
-            for i in np.flatnonzero(costs == lo):
-                key = (tuple(int(x) for x in seqs_full[i]), tuple(int(x) for x in orients_full[i]))
-                if lo < best_cost or key < best_key:
-                    best_cost = lo
-                    best_key = key
+        i = int(np.argmin(costs))  # first minimum = smallest key; a later chunk must be strictly better
+        if costs[i] < best_cost:
+            best_cost = float(costs[i])
+            best_key = (tuple(int(x) for x in seqs_full[i]), tuple(int(x) for x in orients_full[i]))
     order = AprioriOrder(best_key[0], best_key[1])
     return SolveResult(
         order=order,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, canonicalize, matrix_violations
-from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian
+from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian, metric_closure
 
 VertexMap = dict[int, int]
 
@@ -62,25 +62,27 @@ def simplify(inst: OriginalInstance, epsilon: float | None = None):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     g = Multigraph.from_instance(inst)
+    origin = [v for eid in inst.required for v in inst.edges[eid]] + [inst.depot, inst.depot]
+    lengths = [inst.dist[eid] for eid in inst.required] + [epsilon]
+    p = np.append(np.asarray(inst.prob, dtype=float), 1.0)
     sp = all_pairs_shortest_paths(g, inst.dist)
-    n = inst.n
-    origin = []  # original vertex per simplified vertex
-    for eid in inst.required:
-        u, v = inst.edges[eid]
-        origin.extend([u, v])
-    origin.extend([inst.depot, inst.depot])
-    size = 2 * (n + 1)
-    idx = [g.index(v) for v in origin]
-    D = sp[np.ix_(idx, idx)]
-    # per-source Dijkstra can sum one path in two orders; make D exactly symmetric
+    return _split(sp, [g.index(v) for v in origin], origin, lengths, p)
+
+
+def _split(M, idx, origin, lengths, p):
+    """The simplified instance on copies of M's vertices `idx`, copy x standing
+    for original vertex origin[x]. Copies 2i and 2i+1 form required edge i, of
+    length lengths[i] and probability p[i]; other copies keep M's distances.
+    Returns (SimplifiedInstance, VertexMap)."""
+    D = M[np.ix_(idx, idx)]
+    # per-source Dijkstra can sum one path in two orders; make a closure exactly symmetric
     D = np.minimum(D, D.T)
     np.fill_diagonal(D, 0.0)
-    for i, eid in enumerate(inst.required):
-        D[2 * i, 2 * i + 1] = D[2 * i + 1, 2 * i] = float(inst.dist[eid])
-    D[size - 2, size - 1] = D[size - 1, size - 2] = float(epsilon)
-    R = tuple((2 * i, 2 * i + 1) for i in range(n + 1))
-    p = np.append(np.asarray(inst.prob, dtype=float), 1.0)
-    vmap: VertexMap = {i: v for i, v in enumerate(origin)}
+    n = len(lengths)
+    k = np.arange(n)
+    D[2 * k, 2 * k + 1] = D[2 * k + 1, 2 * k] = np.asarray(lengths, dtype=float)
+    R = tuple((2 * i, 2 * i + 1) for i in range(n))
+    vmap: VertexMap = {x: int(v) for x, v in enumerate(origin)}
     return SimplifiedInstance(D=D, R=R, p=p), vmap
 
 
@@ -113,14 +115,7 @@ def tsp_to_setp(tsp: TspInstance, epsilon: float):
     if m < 3:
         raise ValueError("TSP gadget requires at least 3 cities, got %d" % m)
     city = np.arange(2 * m) // 2
-    D = tsp.C[np.ix_(city, city)].copy()
-    for i in range(m):
-        D[2 * i, 2 * i + 1] = D[2 * i + 1, 2 * i] = float(epsilon)
-    np.fill_diagonal(D, 0.0)
-    R = tuple((2 * i, 2 * i + 1) for i in range(m))
-    p = np.ones(m)
-    vmap: VertexMap = {x: int(city[x]) for x in range(2 * m)}
-    return SimplifiedInstance(D=D, R=R, p=p), vmap
+    return _split(tsp.C, city, city, [epsilon] * m, np.ones(m))
 
 
 def lift_to_tsp_tour(order: AprioriOrder, vmap: VertexMap) -> tuple[int, ...]:
@@ -193,39 +188,22 @@ def gen_random_eulerian(v: int, e: int, seed: int):
             rest = np.asarray(odd)  # g's vertices are 0..v-1, so each is its own index in sp
             b = int(rest[np.lexsort((rest, sp[a, rest]))[0]])
             odd.remove(b)
-            for eid in _shortest_path_edges(g, dist, a, b):
+            # Walk back from b to a. scipy's Dijkstra leaves sp[a,u] <= sp[a,w] + d
+            # on every edge (u, w) of length d, with equality at u's predecessor,
+            # so the edge minimising sp[a,w] + d lies on a shortest path. The
+            # lengths come from rng.random, so they are almost surely positive:
+            # sp[a,.] strictly decreases along the walk, which therefore ends at a.
+            path = []
+            u = b
+            while u != a:
+                eid, u = min(g.adjacency[u], key=lambda ew: (sp[a, ew[1]] + dist[ew[0]], ew[0]))
+                path.append(eid)
+            for eid in reversed(path):
                 edges.append(g.edges[eid])
                 dist.append(dist[eid])
         g = Multigraph(range(v), edges)
     assert is_eulerian(g)
     return g, tuple(dist)
-
-
-def _shortest_path_edges(g: Multigraph, dist, a: int, b: int) -> list[int]:
-    """Edge ids along one shortest a-b path (Dijkstra, smallest-id ties)."""
-    import heapq
-
-    best = {a: (0.0, -1, -1)}  # vertex -> (dist, via edge, from vertex)
-    heap = [(0.0, a)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > best[u][0]:
-            continue
-        if u == b:
-            break
-        for eid, w in g.adjacency[u]:
-            nd = d + dist[eid]
-            if w not in best or nd < best[w][0]:
-                best[w] = (nd, eid, u)
-                heapq.heappush(heap, (nd, w))
-    path = []
-    u = b
-    while u != a:
-        _, eid, prev = best[u]
-        path.append(eid)
-        u = prev
-    path.reverse()
-    return path
 
 
 def gen_random_original(v: int, e: int, n_required: int, seed: int) -> OriginalInstance:
@@ -260,10 +238,7 @@ def gen_random_simplified(n: int, seed: int, metric: bool = False) -> Simplified
     D = np.triu(A, 1)
     D = D + D.T
     if metric:
-        from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
-
-        full = np.where(np.eye(size, dtype=bool), np.inf, D)
-        D = shortest_path(csgraph_from_dense(full, null_value=np.inf), method="D", directed=False)
+        D = metric_closure(D)
     R = tuple((2 * i, 2 * i + 1) for i in range(n))
     p = rng.random(n)
     return SimplifiedInstance(D=D, R=R, p=p)

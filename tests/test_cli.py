@@ -247,7 +247,7 @@ BASE = {
 }
 # The lists whose entries a token mutation replaces.
 LEAVES = {"simplified": ("D", "p", "R"), "original": ("dist", "prob", "required", "edges", "vertices"), "tsp": ("C",)}
-TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "null", "-1.5", "1.7", "0"]
+TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "null", "-1.5", "1.7", "0", "true"]
 COST_LINES = ("value=", "cost=", "order=")
 
 
@@ -420,6 +420,9 @@ PROBES = [
                                                                   BASE["original"]["required"][1]])),
      ["validate", "{path}"], 2),
     ("boolean-id", json.dumps(simplified_doc(R=[[False, True]] + BASE["simplified"]["R"][1:])), ["validate", "{path}"], 2),
+    ("bool-p", with_token(BASE["simplified"], "p", 0, "true"), ["evaluate", "{path}", spec(4)], 2),
+    ("bool-dist", with_token(BASE["original"], "dist", 0, "false"), ["evaluate", "{path}", spec(3)], 2),
+    ("bool-C", with_token(BASE["tsp"], "C", 1, "true"), ["reduce", "{path}", "--from", "tsp"], 2),
 ]
 
 

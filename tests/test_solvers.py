@@ -1,3 +1,5 @@
+import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ from setp.core import AprioriOrder, SimplifiedInstance, canonicalize, validate_s
 from setp.evaluate import expected_cost_closed_form
 from setp import solvers
 from setp.solvers import brute_force, brute_force_tsp, local_search, nearest_neighbor
-from setp.transforms import gen_random_simplified
+from setp.transforms import TspInstance, gen_random_simplified, gen_random_tsp, tsp_to_setp
 
 
 class TestBruteForce:
@@ -173,6 +175,49 @@ def test_local_search_matches_per_neighbor_reference(n, seed, metric, budget, ch
     with mock.patch.object(solvers, "BATCH_CELLS", cells):
         res = local_search(inst, init, budget=budget)
     assert (res.order, res.cost.value, res.evaluations) == reference_local_search(inst, init, budget)
+
+
+def reference_brute_force(inst):
+    """(cost, sequence, orient) of the best candidate: every order with edge 0
+    first, scored alone by the closed form; among exact-cost minima the
+    lexicographically smallest (sequence, orient) wins."""
+    n = inst.n
+    return min(
+        (expected_cost_closed_form(AprioriOrder(seq, orient), inst).value, seq, orient)
+        for seq in ((0,) + rest for rest in itertools.permutations(range(1, n)))
+        for orient in itertools.product((0, 1), repeat=n)
+    )
+
+
+@st.composite
+def tie_heavy_instance(draw):
+    """Instances with many exact-cost ties: TSP gadgets (orientation never
+    matters), distances from one or two levels, probabilities 0, 1/2 or 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 5))
+        C = rng.choice(draw(st.sampled_from([(1.0,), (1.0, 2.0)])), size=(m, m))
+        C = np.triu(C, 1) + np.triu(C, 1).T
+        tsp = TspInstance(C) if draw(st.booleans()) else gen_random_tsp(m, seed=int(rng.integers(2**16)))
+        return tsp_to_setp(tsp, 0.25)[0]
+    n = draw(st.integers(1, 5))
+    D = rng.choice(draw(st.sampled_from([(1.0,), (1.0, 2.0), (0.5, 1.0, 1.5)])), size=(2 * n, 2 * n))
+    D = np.triu(D, 1) + np.triu(D, 1).T
+    p = rng.choice(draw(st.sampled_from([(0.0,), (1.0,), (0.0, 0.5, 1.0)])), size=n)
+    return SimplifiedInstance(D=D, R=tuple((2 * i, 2 * i + 1) for i in range(n)), p=p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=tie_heavy_instance(), chunk_rows=st.one_of(st.none(), st.integers(1, 40)))
+def test_brute_force_tie_break_matches_reference(inst, chunk_rows):
+    # A small row bound spreads the candidates over many kernel calls, so ties
+    # across chunks are decided too.
+    cells = solvers.BATCH_CELLS if chunk_rows is None else chunk_rows * inst.n
+    with mock.patch.object(solvers, "BATCH_CELLS", cells):
+        res = brute_force(inst)
+    cost, seq, orient = reference_brute_force(inst)
+    assert (res.cost.value, res.order.sequence, res.order.orient) == (cost, seq, orient)
+    assert res.evaluations == math.factorial(inst.n - 1) * 2**inst.n
 
 
 class TestBruteForceTsp:

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from setp import serialize
 from setp.core import (
     AprioriOrder,
     OriginalInstance,
@@ -14,6 +17,7 @@ from setp.solvers import brute_force, brute_force_tsp
 from setp.transforms import (
     TspInstance,
     canonical_city_tour,
+    default_epsilon,
     embed_depot,
     gen_random_eulerian,
     gen_random_original,
@@ -211,3 +215,69 @@ class TestGenerators:
             for j in range(k):
                 for h in range(k):
                     assert D[i, j] <= D[i, h] + D[h, j] + 1e-12
+
+
+def golden_text(kind, args):
+    """The document text (plus the vertex map, for a reduction) of one golden case."""
+    if kind == "original":
+        return serialize.dumps(gen_random_original(*args))
+    if kind == "simplified":
+        n, seed, metric = args
+        return serialize.dumps(gen_random_simplified(n, seed, metric=metric))
+    if kind == "tsp":
+        return serialize.dumps(gen_random_tsp(*args))
+    if kind == "simplify":
+        simp, vmap = simplify(gen_random_original(*args))
+    else:
+        tsp = gen_random_tsp(*args)
+        simp, vmap = tsp_to_setp(tsp, default_epsilon(tsp.C))
+    return serialize.dumps(simp) + json.dumps(sorted(vmap.items()))
+
+
+# SHA-256 of golden_text. Generated and reduced documents are part of the
+# seeded-output contract, so any change to one byte of them shows here.
+GOLDEN = [
+    ("original", (6, 8, 3, 0),
+     "66ddb11840f777cd97c73039894bd40acf7260784adcb0f150478fdd5bdbd79b"),
+    ("original", (6, 8, 3, 1),
+     "8c405d5780dfae7f1c48504ecd149490ca4bd45036cf5977708bc5e22b2bbb7d"),
+    ("original", (6, 8, 3, 2),
+     "3b7ac4cfef8e02f4938f7879928405f36024be9668fa4db5ffb7d9c8c8439d2f"),
+    ("original", (40, 120, 10, 3),
+     "c22ace74724d9bcaaf0cdc985b188fc0e081a39dd1d954a70c308661b725b75f"),
+    ("original", (300, 900, 20, 4),
+     "26f4b12baa15af05544071e553cd1e2b01715461b8cc5e29d4ca1eb43059458b"),
+    ("simplified", (5, 0, False),
+     "836141127d870fa8300d8d990daaa69a10d06e8b12f22ed4368c05c87097ddfe"),
+    ("simplified", (5, 1, False),
+     "41a572cc618021519b6de3220e5cf07e20d0016b174b4ab88d9649878f71b634"),
+    ("simplified", (5, 0, True),
+     "dcf8d87b4db7bc9e316fbed9b204a8e05e3f4f38a66f9c971779952e6ddc5334"),
+    ("simplified", (5, 1, True),
+     "4353a894d5d5dd9a094984058876e278a2e09775ba05304d201b32fe6cc5339c"),
+    ("simplified", (12, 2, True),
+     "2c6ebc02fdcb2ecd5806f66fa3cc300ce3e2dea39f06b60d1925cd6b470776db"),
+    ("tsp", (5, 0),
+     "21788efb912318804771c945beac1dc3868b9f553d6f07d72c7ab3cd8f4b1cb3"),
+    ("tsp", (5, 1),
+     "1f7aa4da83018832c1823e74555de83fb25183d611c2f9bddbba4f0d3fc8c82c"),
+    ("tsp", (8, 2),
+     "5c239612105c5f9a28455f26642d89f2b60e543ad26b09f3673006d507285fe5"),
+    ("simplify", (6, 8, 3, 0),
+     "e95c45538c74127ea52ffabf690403c4b8957eb0b16161a1be58a0823b568b67"),
+    ("simplify", (6, 8, 3, 1),
+     "7196206e92d6018487cb79d20bd7e73d7c563e0e5a610eed9826f26bf3fe5438"),
+    ("simplify", (40, 120, 10, 3),
+     "2331a2e347a55677a9e5480b43dacff0a6433f0e2038113db605a3b89f061d10"),
+    ("simplify", (300, 900, 20, 4),
+     "21242e117e8b9ed952b2dad6558a8f57cd768e53be4dbff6ac0509125d9c9ea2"),
+    ("tsp_to_setp", (5, 0),
+     "8ae6a673b454e1d19f9467d831ae7a4f31ef8e366422ef88267653183a79cc29"),
+    ("tsp_to_setp", (8, 2),
+     "a63dccd49ce9ea513361ba8e07abdaa43f916478cc4761be1bf4d77b9bd83a6d"),
+]
+
+
+@pytest.mark.parametrize("kind, args, digest", GOLDEN, ids=["%s-%s" % (k, "-".join(map(str, a))) for k, a, _ in GOLDEN])
+def test_golden_digest(kind, args, digest):
+    assert hashlib.sha256(golden_text(kind, args).encode()).hexdigest() == digest
