@@ -169,6 +169,8 @@ SUITE_OPTIONS = {
 
 
 def cmd_verify(args) -> int:
+    if args.size is not None and "size" not in SUITE_OPTIONS[args.suite]:
+        raise ValueError("suite %s takes no --size" % args.suite)
     options = SUITE_OPTIONS[args.suite].items()
     kwargs = {kw: getattr(args, opt) for opt, kw in options if getattr(args, opt) is not None}
     ok, lines = verify.SUITES[args.suite](**kwargs)
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=positive(int), default=1_000_000)
     p.add_argument("path")
     p.set_defaults(func=cmd_solve)
 
@@ -223,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a structural verification suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
-    p.add_argument("--seeds", type=int, default=50)
+    p.add_argument("--seeds", type=positive(int), default=50)
     p.add_argument("--size", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -20,8 +20,10 @@ from .core import AprioriOrder, EulerianTour, OriginalInstance, Scenario, Simpli
 from .graph import Multigraph, all_pairs_shortest_paths
 
 ENUMERATION_GUARD = 20
-# Rows per `scenario_costs` call in enumeration and Monte Carlo.
-SCENARIO_CHUNK = 1 << 14
+# Cells (rows x row width) per batched kernel call: each temporary of a block is
+# at most 1 MB and stays in cache, whatever the number of samples, scenarios or
+# candidates; larger blocks were never faster.
+BATCH_CELLS = 1 << 17
 
 CLOSED_FORM = "closed_form"
 ENUMERATION = "enumeration"
@@ -33,6 +35,13 @@ class ExpectedCost:
     value: float
     method: str
     stderr: float = 0.0
+
+
+def _blocks(rows: int, width: int):
+    """Slices that cover range(rows) in blocks of at most BATCH_CELLS // width
+    rows, and at least one row."""
+    step = max(1, BATCH_CELLS // width)
+    return (slice(lo, min(rows, lo + step)) for lo in range(0, rows, step))
 
 
 def _oriented_rows(inst: SimplifiedInstance, seqs, orients):
@@ -129,8 +138,8 @@ def expected_cost_enumeration(
 ) -> ExpectedCost:
     """Ground truth: sum of probability-weighted costs over all 2^n scenarios.
 
-    Scenarios are scored in chunks of SCENARIO_CHUNK rows, so no 2^n x n
-    array is built; scenario k's probability is built up bit by bit.
+    Scenarios are scored in blocks of bounded cells, so no 2^n x n array is
+    built; scenario k's probability is built up bit by bit.
     """
     n = inst.n
     if n > max_n:
@@ -139,11 +148,10 @@ def expected_cost_enumeration(
     probs = np.ones(1)
     for q in p:  # after position i, index k < 2^(i+1) holds P(bits 0..i of k)
         probs = np.concatenate([probs * (1.0 - q), probs * q])
-    total = 0.0
-    for lo in range(0, 1 << n, SCENARIO_CHUNK):
-        hi = min(1 << n, lo + SCENARIO_CHUNK)
-        total += float(probs[lo:hi] @ scenario_costs(inst.D, a, b, scenario_matrix(n, lo, hi)))
-    return ExpectedCost(value=total, method=ENUMERATION)
+    costs = np.empty(1 << n)
+    for s in _blocks(1 << n, n):
+        costs[s] = scenario_costs(inst.D, a, b, scenario_matrix(n, s.start, s.stop))
+    return ExpectedCost(value=float(probs @ costs), method=ENUMERATION)
 
 
 def expected_cost_monte_carlo(
@@ -155,9 +163,8 @@ def expected_cost_monte_carlo(
     a, b, p = _order_rows(order, inst)
     rng = np.random.default_rng(seed)
     costs = np.empty(samples)
-    for lo in range(0, samples, SCENARIO_CHUNK):
-        k = min(SCENARIO_CHUNK, samples - lo)
-        costs[lo : lo + k] = scenario_costs(inst.D, a, b, rng.random((k, len(p))) < p)
+    for s in _blocks(samples, len(p)):
+        costs[s] = scenario_costs(inst.D, a, b, rng.random((s.stop - s.start, len(p))) < p)
     if np.ptp(costs) == 0.0:  # degenerate draw: exact value, no error
         return ExpectedCost(value=float(costs[0]), method=MONTE_CARLO, stderr=0.0)
     mean = float(costs.mean())

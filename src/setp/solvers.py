@@ -11,12 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AprioriOrder, SimplifiedInstance, canonicalize
-from .evaluate import CLOSED_FORM, ExpectedCost, _oriented_rows, expected_cost_closed_form
+from .evaluate import CLOSED_FORM, ExpectedCost, _blocks, _oriented_rows, expected_cost_closed_form
 from .evaluate import scenario_matrix, weighted_tour_costs
 
 BRUTE_FORCE_GUARD = 9
-# Bound on rows * n per cost-kernel call, so a batch's temporaries stay a few MB.
-BATCH_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -39,35 +37,24 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
         raise ValueError("brute force over (n-1)!*2^n candidates exceeds the guard n <= %d" % max_n)
     t0 = time.perf_counter()
     # position 0 as the high bit: with permutations in lexicographic order, each
-    # chunk's rows come in lexicographic (sequence, orient) order
+    # block's rows come in lexicographic (sequence, orient) order
     orients = scenario_matrix(n)[:, ::-1]
-    n_or = orients.shape[0]
+    seqs = np.array([(0,) + rest for rest in itertools.permutations(range(1, n))])
     best_cost = np.inf
     best_key = None
-    evaluations = 0
-    chunk = max(1, BATCH_CELLS // (n_or * n))
-    perm_iter = itertools.permutations(range(1, n))
-    while True:
-        block = list(itertools.islice(perm_iter, chunk))
-        if not block:
-            break
-        seqs = np.concatenate(
-            [np.zeros((len(block), 1), dtype=int), np.asarray(block, dtype=int).reshape(len(block), n - 1)],
-            axis=1,
-        )
-        seqs_full = np.repeat(seqs, n_or, axis=0)
-        orients_full = np.tile(orients, (len(block), 1))
-        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs_full, orients_full))
-        evaluations += costs.shape[0]
-        i = int(np.argmin(costs))  # first minimum = smallest key; a later chunk must be strictly better
+    for s in _blocks(len(seqs), n * len(orients)):
+        seq_rows = np.repeat(seqs[s], len(orients), axis=0)
+        orient_rows = np.tile(orients, (len(seqs[s]), 1))
+        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seq_rows, orient_rows))
+        i = int(np.argmin(costs))  # first minimum = smallest key; a later block must be strictly better
         if costs[i] < best_cost:
             best_cost = float(costs[i])
-            best_key = (tuple(int(x) for x in seqs_full[i]), tuple(int(x) for x in orients_full[i]))
+            best_key = (tuple(int(x) for x in seq_rows[i]), tuple(int(x) for x in orient_rows[i]))
     order = AprioriOrder(best_key[0], best_key[1])
     return SolveResult(
         order=order,
         cost=ExpectedCost(value=best_cost, method=CLOSED_FORM),
-        evaluations=evaluations,
+        evaluations=len(seqs) * len(orients),
         wall_time=time.perf_counter() - t0,
     )
 
@@ -128,17 +115,15 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     keep = (pi != 0) | (pj != n - 1)
     move_i = np.concatenate([np.arange(n), pi[keep]])
     move_j = np.concatenate([np.arange(n), pj[keep]])
-    step = max(1, BATCH_CELLS // n)
     improved = True
     while improved and evaluations < budget:
         seq = np.asarray(current.sequence)
         orient = np.asarray(current.orient)
         k = min(len(move_i), budget - evaluations)
         costs = np.empty(k)
-        for lo in range(0, k, step):
-            hi = min(k, lo + step)
-            rows = _moved(seq, orient, move_i[lo:hi], move_j[lo:hi])
-            costs[lo:hi] = weighted_tour_costs(inst.D, *_oriented_rows(inst, *rows))
+        for s in _blocks(k, n):
+            rows = _moved(seq, orient, move_i[s], move_j[s])
+            costs[s] = weighted_tour_costs(inst.D, *_oriented_rows(inst, *rows))
         evaluations += k
         costs[~(costs < cost)] = np.inf  # only strict improvements compete; NaN never wins
         best = int(np.argmin(costs))

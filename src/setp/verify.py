@@ -123,6 +123,8 @@ def bijection_suite(m_max: int = 6):
     """lift(inject(tour)) is the identity on all undirected city tours."""
     import itertools
 
+    if m_max < 3:
+        raise ValueError("m_max=%d is below 3, the smallest tour" % m_max)
     checked = 0
     ok = True
     for m in range(3, m_max + 1):

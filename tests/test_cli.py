@@ -230,6 +230,22 @@ class TestVerifyCommand:
         assert res.returncode == 2
         assert "error=" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "oracle", "--seeds", "0"],
+            ["--suite", "reduction", "--seeds", "0"],
+            ["--suite", "bijection", "--size", "2"],
+            ["--suite", "equivalence", "--size", "3"],
+            ["--suite", "eulerian-contrast", "--size", "3"],
+        ],
+        ids=["oracle-no-seeds", "reduction-no-seeds", "bijection-no-tours", "equivalence-size", "contrast-size"],
+    )
+    def test_nothing_to_check_usage_error(self, argv):
+        res = run_cli("verify", *argv)
+        assert res.returncode == 2
+        assert "result=" not in res.stdout and "Traceback" not in res.stderr
+
     def test_eulerian_contrast(self):
         res = run_cli("verify", "--suite", "eulerian-contrast")
         assert res.returncode == 0
@@ -359,7 +375,8 @@ def command(draw, path, n, out):
             argv += ["--samples", draw(st.sampled_from(["0", "-3", "1", "50"])), "--seed", "7"]
         return argv
     if which == "solve":
-        return ["solve", "--exact", path] if draw(st.booleans()) else ["solve", "--heuristic", "--budget", "60", path]
+        budget = draw(st.sampled_from(["0", "60"]))
+        return ["solve", "--exact", path] if draw(st.booleans()) else ["solve", "--heuristic", "--budget", budget, path]
     argv = ["reduce", path, "--from", draw(st.sampled_from(["tsp", "original"])), "-o", out]
     if draw(st.booleans()):
         argv += ["--epsilon", draw(st.sampled_from(["0", "nan", "-1", "inf", "1e-6"]))]
@@ -408,6 +425,8 @@ PROBES = [
     ("directory", None, ["validate", "{path}"], 2),
     ("non-utf8", '{"format": "setp/1", "kind": "\udcff"}', ["validate", "{path}"], 2),
     ("samples-zero", json.dumps(BASE["simplified"]), ["evaluate", "{path}", spec(4), "--method", "mc", "--samples", "0"], 2),
+    ("budget-zero", json.dumps(BASE["simplified"]), ["solve", "--heuristic", "--budget", "0", "{path}"], 2),
+    ("budget-negative", json.dumps(BASE["simplified"]), ["solve", "--heuristic", "--budget", "-3", "{path}"], 2),
     ("enum-past-guard", json.dumps(BASE["simplified21"]), ["evaluate", "{path}", spec(21), "--method", "enum"], 1),
     ("exact-past-guard", json.dumps(BASE["simplified10"]), ["solve", "--exact", "{path}"], 1),
     ("reduce-epsilon-nan", json.dumps(BASE["tsp"]), ["reduce", "{path}", "--from", "tsp", "--epsilon", "nan"], 2),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setp import evaluate
+from setp import evaluate, solvers
 from setp.core import AprioriOrder, Scenario, SimplifiedInstance, canonicalize
 from setp.evaluate import (
     aposteriori_cost,
@@ -94,7 +94,7 @@ class TestScenarioCosts:
         inst = SimplifiedInstance(D=inst.D, R=inst.R, p=p)
         cf = expected_cost_closed_form(order, inst).value
         # A small chunk streams the scenarios over several calls, as at large n.
-        with mock.patch.object(evaluate, "SCENARIO_CHUNK", data.draw(st.sampled_from([5, 64, evaluate.SCENARIO_CHUNK]))):
+        with mock.patch.object(evaluate, "BATCH_CELLS", data.draw(st.sampled_from([5, 64, 1 << 14])) * inst.n):
             en = expected_cost_enumeration(order, inst).value
         assert abs(cf - en) <= 1e-9 * max(1.0, abs(cf))
 
@@ -112,7 +112,7 @@ class TestScenarioCosts:
             raise AssertionError("weighted_tour_costs called")
 
         monkeypatch.setattr(evaluate, "weighted_tour_costs", refuse)
-        monkeypatch.setattr(evaluate, "SCENARIO_CHUNK", 100)  # several chunks in both evaluators
+        monkeypatch.setattr(evaluate, "BATCH_CELLS", 100 * 7)  # several blocks in both evaluators
         en = expected_cost_enumeration(order, inst).value
         assert en == pytest.approx(closed, rel=1e-9)
         mc = expected_cost_monte_carlo(order, inst, samples=3000, seed=5)
@@ -303,3 +303,42 @@ class TestOriginalForm:
             direct = expected_cost_original_direct(tour, inst).value
             composed = expected_cost_original(tour, inst, epsilon=eps).value
             assert abs(direct - composed) <= slack
+
+
+# Batched evaluators and solvers, with the size of the instance each runs on.
+BATCHED = {"enumeration": 9, "monte_carlo": 30, "brute_force": 5, "local_search": 12}
+
+
+@pytest.mark.parametrize("cells", [1, 50, 700])
+@pytest.mark.parametrize("method", sorted(BATCHED))
+def test_no_kernel_call_exceeds_the_bound(monkeypatch, method, cells):
+    n = BATCHED[method]
+    inst = gen_random_simplified(n, seed=n)
+    order = random_order(n, n)
+
+    def run():
+        if method == "enumeration":
+            return expected_cost_enumeration(order, inst)
+        if method == "monte_carlo":
+            return expected_cost_monte_carlo(order, inst, samples=400, seed=2)
+        res = solvers.brute_force(inst) if method == "brute_force" else solvers.local_search(inst, order)
+        return res.order, res.cost, res.evaluations
+
+    want = run()
+    sizes = []
+
+    def spy(kernel):
+        def counted(D, a, b, rows):
+            sizes.append(np.size(rows))
+            return kernel(D, a, b, rows)
+        return counted
+
+    weighted = spy(evaluate.weighted_tour_costs)
+    monkeypatch.setattr(evaluate, "BATCH_CELLS", cells)
+    monkeypatch.setattr(evaluate, "scenario_costs", spy(evaluate.scenario_costs))
+    monkeypatch.setattr(evaluate, "weighted_tour_costs", weighted)
+    monkeypatch.setattr(solvers, "weighted_tour_costs", weighted)  # solvers' own reference
+    assert run() == want
+    # a unit is one row, or for brute force one sequence's 2^n orientation rows
+    unit = n << n if method == "brute_force" else n
+    assert len(sizes) > 1 and max(sizes) <= max(cells, unit)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from setp.core import AprioriOrder, SimplifiedInstance, canonicalize, validate_simplified
 from setp.evaluate import expected_cost_closed_form
-from setp import solvers
+from setp import evaluate
 from setp.solvers import brute_force, brute_force_tsp, local_search, nearest_neighbor
 from setp.transforms import TspInstance, gen_random_simplified, gen_random_tsp, tsp_to_setp
 
@@ -171,8 +171,8 @@ def test_local_search_matches_per_neighbor_reference(n, seed, metric, budget, ch
     rng = np.random.default_rng(seed)
     init = AprioriOrder(tuple(rng.permutation(n)), tuple(rng.integers(0, 2, size=n)))
     # A small row bound splits each sweep over several kernel calls, as at large n.
-    cells = solvers.BATCH_CELLS if chunk_rows is None else chunk_rows * n
-    with mock.patch.object(solvers, "BATCH_CELLS", cells):
+    cells = evaluate.BATCH_CELLS if chunk_rows is None else chunk_rows * n
+    with mock.patch.object(evaluate, "BATCH_CELLS", cells):
         res = local_search(inst, init, budget=budget)
     assert (res.order, res.cost.value, res.evaluations) == reference_local_search(inst, init, budget)
 
@@ -212,8 +212,8 @@ def tie_heavy_instance(draw):
 def test_brute_force_tie_break_matches_reference(inst, chunk_rows):
     # A small row bound spreads the candidates over many kernel calls, so ties
     # across chunks are decided too.
-    cells = solvers.BATCH_CELLS if chunk_rows is None else chunk_rows * inst.n
-    with mock.patch.object(solvers, "BATCH_CELLS", cells):
+    cells = evaluate.BATCH_CELLS if chunk_rows is None else chunk_rows * inst.n
+    with mock.patch.object(evaluate, "BATCH_CELLS", cells):
         res = brute_force(inst)
     cost, seq, orient = reference_brute_force(inst)
     assert (res.cost.value, res.order.sequence, res.order.orient) == (cost, seq, orient)
