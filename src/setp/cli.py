@@ -56,6 +56,17 @@ def positive(convert):
     return parse
 
 
+def non_negative(convert):
+    """argparse type: `convert` the option's text and require a value of at least 0."""
+    def parse(text):
+        value = convert(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError("must be non-negative, got %s" % text)
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
 # The kind each instance type is stored as.
 KINDS = {OriginalInstance: "original", SimplifiedInstance: "simplified", transforms.TspInstance: "tsp"}
 
@@ -157,7 +168,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# The keyword each suite takes for --seeds and --size; an unset --size
+# The keyword each suite takes for --seeds and --size; an unset option
 # leaves the suite's own default.
 SUITE_OPTIONS = {
     "oracle": {"seeds": "seeds", "size": "size"},
@@ -169,8 +180,9 @@ SUITE_OPTIONS = {
 
 
 def cmd_verify(args) -> int:
-    if args.size is not None and "size" not in SUITE_OPTIONS[args.suite]:
-        raise ValueError("suite %s takes no --size" % args.suite)
+    for opt in ("seeds", "size"):
+        if getattr(args, opt) is not None and opt not in SUITE_OPTIONS[args.suite]:
+            raise ValueError("suite %s takes no --%s" % (args.suite, opt))
     options = SUITE_OPTIONS[args.suite].items()
     kwargs = {kw: getattr(args, opt) for opt, kw in options if getattr(args, opt) is not None}
     ok, lines = verify.SUITES[args.suite](**kwargs)
@@ -194,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", help="comma list of edge indices with +/- orientation, e.g. 0+,2-,1+")
     p.add_argument("--method", choices=["closed", "enum", "mc"], default="closed")
     p.add_argument("--samples", type=positive(int), default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative(int), default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("solve", help="optimize the expected cost")
@@ -218,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, default=6, help="vertices (original)")
     p.add_argument("--e", type=int, default=8, help="edges before depot embedding (original)")
     p.add_argument("--required", type=int, default=0, help="required edges (original)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative(int), default=0)
     p.add_argument("--metric", action="store_true")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="run a structural verification suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
-    p.add_argument("--seeds", type=positive(int), default=50)
+    p.add_argument("--seeds", type=positive(int), default=None)
     p.add_argument("--size", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -70,14 +70,14 @@ def _order_rows(order: AprioriOrder, inst: SimplifiedInstance):
 def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Expected tour cost of probability rows, in O(n^2) per row.
 
-    `a`, `b` hold tail/head vertex ids per cyclic position, shaped (n,) or
-    (rows, n); `W` holds per-position service probabilities, shaped (n,) or
-    (rows, n). The cost sums, by linearity, over the events "position i
-    served, next served is i+t". The closed form and both solvers use it;
-    0/1 scenario rows go to `scenario_costs`.
+    `a`, `b` hold tail/head vertex ids per cyclic position and `W` the
+    per-position service probabilities, each shaped (n,) or (..., n) with
+    leading shapes that broadcast. The cost sums, by linearity, over the
+    events "position i served, next served is i+t". The closed form and both
+    solvers use it; 0/1 scenario rows go to `scenario_costs`.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    n = W.shape[1]
+    n = W.shape[-1]
     svc = D[a, b]
     cost = (W * svc).sum(axis=-1)
     run = np.ones_like(W)

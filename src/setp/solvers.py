@@ -29,27 +29,27 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     """Global minimum over all canonical cyclic orders and orientations.
 
     Edge 0 is fixed at position 0 (rotation symmetry), leaving
-    (n-1)! * 2^n candidates. Exact-cost ties are broken by lexicographically
-    smallest (sequence, orient).
+    (n-1)! * 2^n candidates: every sequence times every orientation. Each
+    block of sequences is scored against all 2^n orientations at once by
+    broadcasting, so probability factors are built once per sequence.
+    Exact-cost ties are broken by lexicographically smallest (sequence, orient).
     """
     n = inst.n
     if n > max_n:
         raise ValueError("brute force over (n-1)!*2^n candidates exceeds the guard n <= %d" % max_n)
     t0 = time.perf_counter()
     # position 0 as the high bit: with permutations in lexicographic order, each
-    # block's rows come in lexicographic (sequence, orient) order
+    # block's row-major (sequence, orient) costs come in lexicographic key order
     orients = scenario_matrix(n)[:, ::-1]
     seqs = np.array([(0,) + rest for rest in itertools.permutations(range(1, n))])
     best_cost = np.inf
     best_key = None
-    for s in _blocks(len(seqs), n * len(orients)):
-        seq_rows = np.repeat(seqs[s], len(orients), axis=0)
-        orient_rows = np.tile(orients, (len(seqs[s]), 1))
-        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seq_rows, orient_rows))
-        i = int(np.argmin(costs))  # first minimum = smallest key; a later block must be strictly better
-        if costs[i] < best_cost:
-            best_cost = float(costs[i])
-            best_key = (tuple(int(x) for x in seq_rows[i]), tuple(int(x) for x in orient_rows[i]))
+    for s in _blocks(len(seqs), n << n):
+        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[s, None], orients))
+        i, o = divmod(int(np.argmin(costs)), len(orients))  # first minimum = smallest key
+        if costs[i, o] < best_cost:  # a later block must be strictly better
+            best_cost = float(costs[i, o])
+            best_key = (tuple(int(x) for x in seqs[s][i]), tuple(int(x) for x in orients[o]))
     order = AprioriOrder(best_key[0], best_key[1])
     return SolveResult(
         order=order,

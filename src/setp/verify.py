@@ -14,7 +14,7 @@ from .core import AprioriOrder, OriginalInstance, canonicalize, induced_order
 from .graph import Multigraph, all_eulerian_tours
 
 
-def oracle_suite(size: int = 10, seeds: int = 200, tol: float = 1e-9):
+def oracle_suite(size: int = 10, seeds: int = 50, tol: float = 1e-9):
     """Closed-form vs exhaustive-enumeration agreement on random instances."""
     worst = 0.0
     agree = 0

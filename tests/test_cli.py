@@ -238,8 +238,11 @@ class TestVerifyCommand:
             ["--suite", "bijection", "--size", "2"],
             ["--suite", "equivalence", "--size", "3"],
             ["--suite", "eulerian-contrast", "--size", "3"],
+            ["--suite", "bijection", "--seeds", "7"],
+            ["--suite", "eulerian-contrast", "--seeds", "7"],
         ],
-        ids=["oracle-no-seeds", "reduction-no-seeds", "bijection-no-tours", "equivalence-size", "contrast-size"],
+        ids=["oracle-no-seeds", "reduction-no-seeds", "bijection-no-tours", "equivalence-size", "contrast-size",
+             "bijection-seeds", "contrast-seeds"],
     )
     def test_nothing_to_check_usage_error(self, argv):
         res = run_cli("verify", *argv)
@@ -425,6 +428,7 @@ PROBES = [
     ("directory", None, ["validate", "{path}"], 2),
     ("non-utf8", '{"format": "setp/1", "kind": "\udcff"}', ["validate", "{path}"], 2),
     ("samples-zero", json.dumps(BASE["simplified"]), ["evaluate", "{path}", spec(4), "--method", "mc", "--samples", "0"], 2),
+    ("seed-negative", json.dumps(BASE["simplified"]), ["evaluate", "{path}", spec(4), "--method", "mc", "--seed", "-5"], 2),
     ("budget-zero", json.dumps(BASE["simplified"]), ["solve", "--heuristic", "--budget", "0", "{path}"], 2),
     ("budget-negative", json.dumps(BASE["simplified"]), ["solve", "--heuristic", "--budget", "-3", "{path}"], 2),
     ("enum-past-guard", json.dumps(BASE["simplified21"]), ["evaluate", "{path}", spec(21), "--method", "enum"], 1),

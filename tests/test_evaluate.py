@@ -16,6 +16,7 @@ from setp.evaluate import (
     expected_cost_original_direct,
     _oriented_rows,
     scenario_costs,
+    scenario_matrix,
     weighted_tour_costs,
 )
 from setp.graph import Multigraph, all_eulerian_tours, hierholzer
@@ -193,6 +194,12 @@ class TestClosedForm:
         orients = np.array([o.orient for o in orders])
         batch = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs, orients))
         assert batch.tolist() == [expected_cost_closed_form(o, inst).value for o in orders]
+        # brute force's broadcast: (k, 1, n) sequences against all 2^n
+        # orientations (the drawn ones where 2^n is too many)
+        every = scenario_matrix(n) if n <= 8 else orients
+        grid = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[:, None], every))
+        rows = _oriented_rows(inst, np.repeat(seqs, len(every), axis=0), np.tile(every, (len(seqs), 1)))
+        assert grid.ravel().tolist() == weighted_tour_costs(inst.D, *rows).tolist()
 
     def test_rotation_invariance_of_expectation(self):
         inst = gen_random_simplified(5, seed=11)
@@ -329,7 +336,7 @@ def test_no_kernel_call_exceeds_the_bound(monkeypatch, method, cells):
 
     def spy(kernel):
         def counted(D, a, b, rows):
-            sizes.append(np.size(rows))
+            sizes.append(np.broadcast(a, b, rows).size)
             return kernel(D, a, b, rows)
         return counted
 
