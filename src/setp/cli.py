@@ -67,6 +67,9 @@ def non_negative(convert):
     return parse
 
 
+# Cost evaluations `solve --heuristic` may spend when --budget is not given.
+HEURISTIC_BUDGET = 1_000_000
+
 # The kind each instance type is stored as.
 KINDS = {OriginalInstance: "original", SimplifiedInstance: "simplified", transforms.TspInstance: "tsp"}
 
@@ -129,12 +132,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.exact and args.budget is not None:
+        print("error=--budget applies to --heuristic only", file=sys.stderr)
+        return 2
     inst, _ = _reduce(_load(args.path, "original", "simplified"))
     if args.exact:
         result = solvers.brute_force(inst)
     else:
         init = solvers.nearest_neighbor(inst)
-        result = solvers.local_search(inst, init, budget=args.budget)
+        result = solvers.local_search(inst, init, budget=args.budget or HEURISTIC_BUDGET)
     print("order=%s" % format_order_spec(result.order))
     print("cost=%r" % result.cost.value)
     print("evaluations=%d" % result.evaluations)
@@ -213,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
-    p.add_argument("--budget", type=positive(int), default=1_000_000)
+    p.add_argument("--budget", type=positive(int), default=None,
+                   help="cost evaluations for --heuristic (default %d)" % HEURISTIC_BUDGET)
     p.add_argument("path")
     p.set_defaults(func=cmd_solve)
 

@@ -73,8 +73,9 @@ def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarr
     `a`, `b` hold tail/head vertex ids per cyclic position and `W` the
     per-position service probabilities, each shaped (n,) or (..., n) with
     leading shapes that broadcast. The cost sums, by linearity, over the
-    events "position i served, next served is i+t". The closed form and both
-    solvers use it; 0/1 scenario rows go to `scenario_costs`.
+    events "position i served, next served is i+t". The closed form and local
+    search use it, and brute force settles its near-minimum candidates with
+    it; 0/1 scenario rows go to `scenario_costs`.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     n = W.shape[-1]

@@ -25,31 +25,102 @@ class SolveResult:
     wall_time: float
 
 
+def _orientation_costs(inst: SimplifiedInstance, orients: np.ndarray):
+    """Scorer of sequence blocks: (k, n) sequences -> (k, len(orients)) costs,
+    the closed form of every (sequence, orientation) up to rounding.
+
+    For a fixed sequence the closed form's weights do not depend on the
+    orientation bits o; only the distance of each term does. Service and wrap
+    terms depend on o_i alone, and a hop D[b_i, a_j] takes its four values as
+    E00 + dI*o_i + dJ*o_j + dQ*o_i*o_j. So a sequence's costs over all
+    orientations are K + sum_i g_i*o_i + sum_{t>0,i} g_ti*o_i*o_(i+t), one
+    matrix product of its coefficients with the orientations' bit products.
+    """
+    n = inst.n
+    u, v = np.asarray(inst.R, dtype=int).T
+    D = inst.D
+    fwd, bwd = D[u, v], D[v, u]
+    # hop from edge e's head to edge f's tail, by (o_e, o_f); last axis E00, dI, dJ, dQ
+    e00, e10, e01, e11 = D[v[:, None], u], D[u[:, None], u], D[v[:, None], v], D[u[:, None], v]
+    hops = np.stack([e00, e10 - e00, e01 - e00, e11 - e10 - e01 + e00], axis=-1)
+    shift = (np.arange(n) + np.arange(n)[:, None]) % n  # shift[t, i] = i + t, cyclic
+    back = (np.arange(n) - np.arange(n)[:, None]) % n  # back[t, j] = j - t, cyclic
+    bits = np.asarray(orients, dtype=bool)
+    # column t*n + i: o_i * o_(i+t); t = 0 is o_i itself
+    products = (bits[:, None, :] & bits[:, shift]).reshape(len(bits), -1).astype(float).T
+
+    def score(seqs: np.ndarray) -> np.ndarray:
+        S = seqs[:, shift]  # S[:, t, i]: the edge t positions after position i
+        W = inst.p[S]
+        # run[:, t - 1, i]: probability that nothing strictly between positions i and i + t is served, t = 1..n
+        run = np.concatenate([np.ones_like(W[:, :1]), np.cumprod(1.0 - W[:, 1:], axis=1)], axis=1)
+        hop = W[:, :1] * W[:, 1:] * run[:, :-1]  # shifts t = 1..n-1
+        wrap = W[:, 0] * run[:, -1]
+        e = hops[S[:, :1], S[:, 1:]]
+        const = (W[:, 0] * fwd[seqs] + wrap * bwd[seqs]).sum(axis=-1) + (hop * e[..., 0]).sum(axis=(1, 2))
+        coef = np.empty_like(W)  # coef[:, t, i] multiplies column t*n + i
+        into = (hop * e[..., 2])[:, np.arange(n - 1)[:, None], back[1:]]  # dJ terms, at the position of o_j
+        coef[:, 0] = (W[:, 0] - wrap) * (bwd - fwd)[seqs] + (hop * e[..., 1] + into).sum(axis=1)
+        coef[:, 1:] = hop * e[..., 3]
+        return const[:, None] + coef.reshape(len(seqs), -1) @ products
+
+    return score
+
+
+def _rounding_bound(inst: SimplifiedInstance) -> float:
+    """Bound on |_orientation_costs - weighted_tour_costs| for any candidate.
+
+    Each evaluation sums O(n^2) terms: probabilities whose total is at most 2n
+    (n service weights, and per position hop and wrap weights that add up to at
+    most its own) times distances, or times differences of at most four
+    distances. The absolute terms thus total at most about 12n*max|D|, and a
+    sum of m of them rounds by at most m*2^-53 of that. For m up to 2n^2 and
+    n <= 12 the two evaluations together stay within n*max|D|*2^-40. The
+    bound scales with D, so a rescaled instance keeps the same candidates.
+    """
+    return inst.n * float(np.abs(inst.D).max()) * 2.0**-40
+
+
 def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> SolveResult:
     """Global minimum over all canonical cyclic orders and orientations.
 
     Edge 0 is fixed at position 0 (rotation symmetry), leaving
-    (n-1)! * 2^n candidates: every sequence times every orientation. Each
-    block of sequences is scored against all 2^n orientations at once by
-    broadcasting, so probability factors are built once per sequence.
-    Exact-cost ties are broken by lexicographically smallest (sequence, orient).
+    (n-1)! * 2^n candidates: every sequence times every orientation. Blocks
+    of sequences are scored over all 2^n orientations by a quadratic form in
+    the orientation bits; only sequences whose minimum comes within twice the
+    rounding bound of the best so far are scored again, over all 2^n
+    orientations, by `weighted_tour_costs`. Exact-cost ties of that kernel are
+    broken by lexicographically smallest (sequence, orient).
     """
     n = inst.n
     if n > max_n:
         raise ValueError("brute force over (n-1)!*2^n candidates exceeds the guard n <= %d" % max_n)
+    if n == 0:
+        raise ValueError("brute force needs at least one required edge")
     t0 = time.perf_counter()
     # position 0 as the high bit: with permutations in lexicographic order, each
     # block's row-major (sequence, orient) costs come in lexicographic key order
     orients = scenario_matrix(n)[:, ::-1]
     seqs = np.array([(0,) + rest for rest in itertools.permutations(range(1, n))])
+    score = _orientation_costs(inst, orients)
+    # a sequence holding the exact minimum K scores at most K + bound, and
+    # K <= best + bound for the best score seen so far
+    window = 2.0 * _rounding_bound(inst)
+    best_score = np.inf
     best_cost = np.inf
     best_key = None
     for s in _blocks(len(seqs), n << n):
-        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[s, None], orients))
+        block = seqs[s]
+        least = score(block).min(axis=1)
+        best_score = min(best_score, float(least.min()))
+        near = block[least <= best_score + window]
+        if not len(near):
+            continue
+        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, near[:, None], orients))
         i, o = divmod(int(np.argmin(costs)), len(orients))  # first minimum = smallest key
         if costs[i, o] < best_cost:  # a later block must be strictly better
             best_cost = float(costs[i, o])
-            best_key = (tuple(int(x) for x in seqs[s][i]), tuple(int(x) for x in orients[o]))
+            best_key = (tuple(int(x) for x in near[i]), tuple(int(x) for x in orients[o]))
     order = AprioriOrder(best_key[0], best_key[1])
     return SolveResult(
         order=order,

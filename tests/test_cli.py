@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from setp import cli, serialize
+from setp import cli, serialize, solvers
 from setp.cli import format_order_spec, parse_order_spec
 from setp.core import AprioriOrder
 from setp.transforms import gen_random_original, gen_random_simplified, gen_random_tsp
@@ -147,6 +147,23 @@ class TestSolveCommand:
         res = run_cli("solve", "--exact", str(path))
         assert res.returncode == 1
         assert "guard" in res.stderr
+
+    def test_heuristic_default_budget(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.json"
+        serialize.save(gen_random_simplified(6, seed=2), path)
+        budgets = []
+        search = solvers.local_search
+
+        def recorded(inst, init, budget):
+            budgets.append(budget)
+            return search(inst, init, budget=budget)
+
+        monkeypatch.setattr(solvers, "local_search", recorded)
+        outs = []
+        for extra in ([], ["--budget", str(cli.HEURISTIC_BUDGET)]):
+            assert cli.main(["solve", "--heuristic", *extra, str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert budgets == [1_000_000, 1_000_000] and outs[0] == outs[1]
 
     def test_original_auto_simplified(self, tmp_path):
         path = tmp_path / "o.json"
@@ -431,6 +448,7 @@ PROBES = [
     ("seed-negative", json.dumps(BASE["simplified"]), ["evaluate", "{path}", spec(4), "--method", "mc", "--seed", "-5"], 2),
     ("budget-zero", json.dumps(BASE["simplified"]), ["solve", "--heuristic", "--budget", "0", "{path}"], 2),
     ("budget-negative", json.dumps(BASE["simplified"]), ["solve", "--heuristic", "--budget", "-3", "{path}"], 2),
+    ("budget-with-exact", json.dumps(BASE["simplified"]), ["solve", "--exact", "--budget", "3", "{path}"], 2),
     ("enum-past-guard", json.dumps(BASE["simplified21"]), ["evaluate", "{path}", spec(21), "--method", "enum"], 1),
     ("exact-past-guard", json.dumps(BASE["simplified10"]), ["solve", "--exact", "{path}"], 1),
     ("reduce-epsilon-nan", json.dumps(BASE["tsp"]), ["reduce", "{path}", "--from", "tsp", "--epsilon", "nan"], 2),

@@ -340,11 +340,23 @@ def test_no_kernel_call_exceeds_the_bound(monkeypatch, method, cells):
             return kernel(D, a, b, rows)
         return counted
 
+    orientation_costs = solvers._orientation_costs
+
+    def spied_orientation_costs(inst, orients):
+        score = orientation_costs(inst, orients)
+
+        def counted(seqs):
+            costs = score(seqs)
+            sizes.append(costs.size * inst.n)  # each cost stands for one n-position candidate row
+            return costs
+        return counted
+
     weighted = spy(evaluate.weighted_tour_costs)
     monkeypatch.setattr(evaluate, "BATCH_CELLS", cells)
     monkeypatch.setattr(evaluate, "scenario_costs", spy(evaluate.scenario_costs))
     monkeypatch.setattr(evaluate, "weighted_tour_costs", weighted)
     monkeypatch.setattr(solvers, "weighted_tour_costs", weighted)  # solvers' own reference
+    monkeypatch.setattr(solvers, "_orientation_costs", spied_orientation_costs)  # brute force's per-block scorer
     assert run() == want
     # a unit is one row, or for brute force one sequence's 2^n orientation rows
     unit = n << n if method == "brute_force" else n

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from setp.core import AprioriOrder, SimplifiedInstance, canonicalize, validate_simplified
 from setp.evaluate import expected_cost_closed_form
-from setp import evaluate
+from setp import evaluate, solvers
 from setp.solvers import brute_force, brute_force_tsp, local_search, nearest_neighbor
 from setp.transforms import TspInstance, gen_random_simplified, gen_random_tsp, tsp_to_setp
 
@@ -37,6 +37,11 @@ class TestBruteForce:
         inst = gen_random_simplified(5, seed=0)
         with pytest.raises(ValueError, match="guard"):
             brute_force(inst, max_n=4)
+
+    def test_no_required_edges(self):
+        inst = SimplifiedInstance(D=np.zeros((2, 2)), R=(), p=())
+        with pytest.raises(ValueError, match="at least one required edge"):
+            brute_force(inst)
 
     def test_cost_matches_reevaluation(self):
         inst = gen_random_simplified(5, seed=7)
@@ -218,6 +223,45 @@ def test_brute_force_tie_break_matches_reference(inst, chunk_rows):
     cost, seq, orient = reference_brute_force(inst)
     assert (res.cost.value, res.order.sequence, res.order.orient) == (cost, seq, orient)
     assert res.evaluations == math.factorial(inst.n - 1) * 2**inst.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 5), seed=st.integers(0, 2**16), metric=st.booleans())
+def test_brute_force_matches_reference_on_mirror_pairs(n, seed, metric):
+    # With D symmetric, a reversed cycle with flipped orientations costs the
+    # same up to rounding, so near-ties come in pairs that only the kernel's
+    # exact values and the key order may decide.
+    inst = gen_random_simplified(n, seed=seed, metric=metric)
+    res = brute_force(inst)
+    assert (res.cost.value, res.order.sequence, res.order.orient) == reference_brute_force(inst)
+
+
+@st.composite
+def scorer_instance(draw):
+    """Random D, symmetric or not (library use), scaled by 1e-8 to 1e8, with
+    probabilities that include 0 and 1 and a random matching R."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    D = rng.random((2 * n, 2 * n)) * 10.0 ** draw(st.integers(-8, 8))
+    if draw(st.booleans()):
+        D = D + D.T
+    np.fill_diagonal(D, 0.0)
+    p = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    R = tuple((int(u), int(v)) for u, v in rng.permutation(2 * n).reshape(n, 2))
+    return SimplifiedInstance(D=D, R=R, p=p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=scorer_instance())
+def test_orientation_scorer_matches_kernel_within_bound(inst):
+    # every sequence, not only those with edge 0 first, against every orientation
+    n = inst.n
+    seqs = np.array(list(itertools.permutations(range(n))))
+    orients = evaluate.scenario_matrix(n)[:, ::-1]
+    got = solvers._orientation_costs(inst, orients)(seqs)
+    want = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, seqs[:, None], orients))
+    assert got.shape == want.shape == (len(seqs), 2**n)
+    assert np.abs(got - want).max() <= solvers._rounding_bound(inst)
 
 
 class TestBruteForceTsp:
