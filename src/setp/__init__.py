@@ -15,6 +15,7 @@ from .core import (
     induced_order,
     validate_original,
     validate_simplified,
+    validate_tsp,
 )
 from .evaluate import (
     ExpectedCost,
@@ -57,6 +58,7 @@ __all__ = [
     "tsp_to_setp",
     "validate_original",
     "validate_simplified",
+    "validate_tsp",
 ]
 
 __version__ = "0.1.0"

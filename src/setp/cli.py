@@ -18,6 +18,7 @@ from .core import (
     SimplifiedInstance,
     validate_original,
     validate_simplified,
+    validate_tsp,
 )
 from .evaluate import (
     expected_cost_closed_form,
@@ -70,23 +71,24 @@ def non_negative(convert):
 # Cost evaluations `solve --heuristic` may spend when --budget is not given.
 HEURISTIC_BUDGET = 1_000_000
 
-# The kind each instance type is stored as.
-KINDS = {OriginalInstance: "original", SimplifiedInstance: "simplified", transforms.TspInstance: "tsp"}
+# The kind of each type serialize.load returns.
+KINDS = {OriginalInstance: "original", SimplifiedInstance: "simplified", transforms.TspInstance: "tsp",
+         dict: "vertex_map"}
 
 
 def _load(path, *kinds):
-    """The instance stored at `path` if it is one of `kinds`; exits 1 with one
-    violation= line per broken invariant if it is invalid."""
+    """The instance stored at `path` if it is one of `kinds`; prints one
+    violation= line per broken invariant and raises ValueError if it is invalid."""
     inst = serialize.load(path)
     kind = KINDS[type(inst)]
     if kind not in kinds:
-        raise serialize.FormatError("%s holds a %s instance, not %s" % (path, kind, " or ".join(kinds)))
-    check = {"original": validate_original, "simplified": validate_simplified}.get(kind)
-    violations = check(inst) if check else []  # a TspInstance checks its matrix when it is built
+        raise serialize.FormatError("%s holds a %s document, not %s" % (path, kind, " or ".join(kinds)))
+    check = {"original": validate_original, "simplified": validate_simplified, "tsp": validate_tsp}[kind]
+    violations = check(inst)
     for v in violations:
         print("violation=%s" % v)
     if violations:
-        raise SystemExit(1)
+        raise ValueError("invalid %s instance" % kind)
     return inst
 
 
@@ -104,7 +106,7 @@ def _reduce(inst, epsilon=None):
 
 
 def cmd_validate(args) -> int:
-    _load(args.path, *KINDS.values())
+    _load(args.path, "original", "simplified", "tsp")
     print("OK")
     return 0
 
@@ -152,7 +154,7 @@ def cmd_reduce(args) -> int:
     simp, vmap = _reduce(_load(args.path, args.source), args.epsilon)
     out = args.out or (args.path + ".simplified.json")
     serialize.save(simp, out)
-    serialize.save_vertex_map(vmap, out + ".map")
+    serialize.save(vmap, out + ".map")
     print("instance=%s" % out)
     print("map=%s" % (out + ".map"))
     return 0
@@ -255,13 +257,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (OSError, ValueError) as exc:
         print("error=%s" % exc, file=sys.stderr)
         # A file that cannot be read or parsed, and an option value that gen or
-        # verify rejects, are usage errors; any other ValueError is a library
-        # check on a valid instance, such as a solver's size guard.
+        # verify rejects, are usage errors; any other ValueError, such as an
+        # invalid instance or a solver's size guard, is a domain failure.
         usage = isinstance(exc, (OSError, serialize.FormatError)) or args.command in ("gen", "verify")
         return 2 if usage else 1
 

@@ -207,6 +207,11 @@ def matrix_violations(M: np.ndarray, name: str) -> list[str]:
     return violations
 
 
+def validate_tsp(inst) -> list[str]:
+    """Check a `transforms.TspInstance` cost matrix; return one message per violation."""
+    return matrix_violations(inst.C, "cost")
+
+
 def validate_simplified(inst: SimplifiedInstance) -> list[str]:
     """Check all SimplifiedInstance invariants; return one message per violation."""
     D = inst.D

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms
-from .core import AprioriOrder, EulerianTour, OriginalInstance, Scenario, SimplifiedInstance, induced_order
+from .core import (AprioriOrder, EulerianTour, OriginalInstance, Scenario, SimplifiedInstance, induced_order,
+                   step_endpoints)
 from .graph import Multigraph, all_pairs_shortest_paths
 
 ENUMERATION_GUARD = 20
@@ -214,8 +215,7 @@ def expected_cost_original_direct(tour: EulerianTour, inst: OriginalInstance) ->
     order = induced_order(tour, inst)
     stops = []  # (required index, tail, head, service length) in tour order; vertices as sp indices
     for k, d in zip(order.sequence, order.orient):
-        u, v = inst.edges[inst.required[k]]
-        tail, head = (v, u) if d else (u, v)
+        tail, head = step_endpoints((inst.required[k], d), inst.edges)
         stops.append((k, g.index(tail), g.index(head), inst.dist[inst.required[k]]))
     depot = g.index(inst.depot)
     p = np.asarray(inst.prob)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
-
 import numpy as np
 
 from .core import Edge, EulerianTour, OriginalInstance, eulerian_violations
@@ -132,4 +130,7 @@ def all_pairs_shortest_paths(g: Multigraph, dist) -> np.ndarray:
 def metric_closure(W: np.ndarray) -> np.ndarray:
     """Shortest-path distances of the undirected graph whose dense length
     matrix is `W`; +inf marks "no edge", so zero-length edges survive."""
+    # Imported here: scipy.sparse.csgraph takes about 0.3 s to load, over half
+    # of `import setp.cli`, and most commands compute no shortest path.
+    from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
     return shortest_path(csgraph_from_dense(W, null_value=np.inf), method="D", directed=False)

@@ -1,6 +1,6 @@
 """Instance file format: versioned JSON documents ("setp/1").
 
-Three kinds are supported: original, simplified and tsp, plus the vertex-map
+Four kinds are supported: original, simplified, tsp and the vertex_map
 sidecar written by `reduce`. Numbers round-trip losslessly (shortest-repr
 JSON floats); NaN and infinities are neither written nor read.
 """
@@ -44,6 +44,8 @@ def to_document(obj) -> dict[str, Any]:
         }
     if isinstance(obj, TspInstance):
         return {"format": FORMAT, "kind": "tsp", "C": obj.C.tolist()}
+    if isinstance(obj, dict):  # a VertexMap
+        return {"format": FORMAT, "kind": "vertex_map", "map": {str(k): int(v) for k, v in obj.items()}}
     raise TypeError("cannot serialize %r" % type(obj))
 
 
@@ -92,6 +94,8 @@ def from_document(doc: dict[str, Any]):
             )
         if kind == "tsp":
             return TspInstance(np.asarray(_numbers(doc["C"]), dtype=float))
+        if kind == "vertex_map":  # dict.items rejects a map that is not an object
+            return {int(k): _id(v) for k, v in dict.items(doc["map"])}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError("malformed %s document: %s" % (kind, exc)) from exc
     raise FormatError("unknown kind %r" % kind)
@@ -123,19 +127,8 @@ def load(path):
     return from_document(_read(path))
 
 
-def save_vertex_map(vmap: VertexMap, path) -> None:
-    doc = {"format": FORMAT, "kind": "vertex_map", "map": {str(k): int(v) for k, v in vmap.items()}}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def load_vertex_map(path) -> VertexMap:
-    doc = _read(path)
-    if not (isinstance(doc, dict) and doc.get("format") == FORMAT and doc.get("kind") == "vertex_map"
-            and isinstance(doc.get("map"), dict)):
-        raise FormatError("not a %s vertex_map document" % FORMAT)
-    try:
-        return {int(k): _id(v) for k, v in doc["map"].items()}
-    except ValueError as exc:
-        raise FormatError("malformed vertex_map document: %s" % exc) from exc
+    vmap = load(path)
+    if not isinstance(vmap, dict):
+        raise FormatError("%s is not a %s vertex_map document" % (path, FORMAT))
+    return vmap

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, canonicalize, matrix_violations
+from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, canonicalize
 from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian, metric_closure
 
 VertexMap = dict[int, int]
@@ -87,15 +87,11 @@ def _split(M, idx, origin, lengths, p):
 
 
 class TspInstance:
-    """Symmetric, finite, nonnegative TSP cost matrix with zero diagonal."""
+    """TSP cost matrix over cities 0..m-1, read-only; `core.validate_tsp` checks it."""
 
     def __init__(self, C):
-        C = np.asarray(C, dtype=float)
-        violations = matrix_violations(C, "cost")
-        if violations:
-            raise ValueError("; ".join(violations))
-        C.setflags(write=False)
-        self.C = C
+        self.C = np.asarray(C, dtype=float)
+        self.C.setflags(write=False)
 
     @property
     def m(self) -> int:

@@ -7,6 +7,8 @@ acceptance tests.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import evaluate, solvers, transforms
@@ -121,8 +123,6 @@ def reduction_suite(instances: int = 50, m_low: int = 4, m_high: int = 8):
 
 def bijection_suite(m_max: int = 6):
     """lift(inject(tour)) is the identity on all undirected city tours."""
-    import itertools
-
     if m_max < 3:
         raise ValueError("m_max=%d is below 3, the smallest tour" % m_max)
     checked = 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -61,12 +62,13 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "doc",
-        [[1, 2], {"map": [1, 2]}, {"map": {"0": 1.5}}, {"map": {"0": True}}, {"map": {"x": 1}}],
-        ids=["list", "map-list", "fractional-id", "boolean-id", "bad-key"],
+        [[1, 2], {"map": [1, 2]}, {"map": {"0": 1.5}}, {"map": {"0": True}}, {"map": {"x": 1}}, {},
+         {"kind": "tsp", "C": [[0.0]]}],
+        ids=["list", "map-list", "fractional-id", "boolean-id", "bad-key", "no-map", "other-kind"],
     )
     def test_malformed_vertex_map(self, doc, tmp_path):
         if isinstance(doc, dict):
-            doc = dict(format="setp/1", kind="vertex_map", **doc)
+            doc = {"format": "setp/1", "kind": "vertex_map", **doc}
         path = tmp_path / "bad.map"
         path.write_text(json.dumps(doc))
         with pytest.raises(serialize.FormatError):
@@ -196,6 +198,21 @@ class TestReduceCommand:
         simp = serialize.load(out)
         assert simp.n == inst.n + 1
         assert simp.p[-1] == 1.0
+
+    # SHA-256 of the .map file `reduce` writes: like the instance files, its
+    # bytes are part of the seeded-output contract.
+    @pytest.mark.parametrize(
+        "source, inst, digest",
+        [("tsp", gen_random_tsp(4, seed=2), "42aa2a4eab27fce09b0dcb32264641ec07d1cc757a82eec86a5aafb0f69c5fc7"),
+         ("original", gen_random_original(5, 8, 2, seed=1),
+          "2c476bd2a226f387d6464a26b313f1e62e5a9d8412830f318cb44ed9deb2a18e")],
+        ids=["tsp", "original"],
+    )
+    def test_map_bytes(self, tmp_path, source, inst, digest):
+        path = tmp_path / "in.json"
+        serialize.save(inst, path)
+        assert cli.main(["reduce", str(path), "--from", source, "-o", str(tmp_path / "out.json")]) == 0
+        assert hashlib.sha256((tmp_path / "out.json.map").read_bytes()).hexdigest() == digest
 
     def test_bad_epsilon(self, tmp_path):
         path = tmp_path / "t.json"
@@ -345,12 +362,17 @@ MUTATIONS = {
     "required": ["original"],
     "depot": ["original"],
     "empty": ["simplified", "original"],
+    "tsp": ["tsp"],
 }
+
+
+# Mutations whose document always parses to an invalid instance.
+INVALID = ("empty", "tsp")
 
 
 @st.composite
 def mutated_file(draw):
-    """(base name, file bytes) for a valid or mutated document."""
+    """(mutation, base name, file bytes) for a valid or mutated document."""
     how = draw(st.sampled_from(sorted(MUTATIONS)))
     name = draw(st.sampled_from(MUTATIONS[how]))
     doc = json.loads(json.dumps(BASE[name]))
@@ -358,7 +380,7 @@ def mutated_file(draw):
     if how == "token":
         key = draw(st.sampled_from(LEAVES[kind]))
         text = with_token(doc, key, draw(st.integers(0, 500)), draw(st.sampled_from(TOKENS)))
-        return name, text.encode()
+        return how, name, text.encode()
     if how == "matching":
         i = draw(st.integers(0, len(doc["R"]) - 1))
         doc["R"][i][draw(st.integers(0, 1))] = draw(st.integers(-1, len(doc["D"])))
@@ -367,6 +389,11 @@ def mutated_file(draw):
     elif how == "depot":
         doc["vertices"].append(max(doc["vertices"]) + 1)  # an isolated vertex
         doc["depot"] = draw(st.sampled_from([doc["vertices"][-1], max(doc["vertices"]) + 5, doc["vertices"][0]]))
+    elif how == "tsp":  # an asymmetric pair, a negative pair or a nonzero diagonal
+        i, j = draw(st.permutations(range(len(doc["C"]))))[:2]
+        value, cells = draw(st.sampled_from([(9.0, [(i, j)]), (-0.5, [(i, j), (j, i)]), (0.5, [(i, i)])]))
+        for a, b in cells:
+            doc["C"][a][b] = value
     elif how == "empty":
         for key in ("R", "p") if kind == "simplified" else ("required", "prob"):
             doc[key] = []
@@ -379,7 +406,7 @@ def mutated_file(draw):
     elif how == "bytes":
         k = draw(st.integers(0, len(data)))
         data = data[:k] + b"\xff" + data[k:]
-    return name, data
+    return how, name, data
 
 
 @st.composite
@@ -408,8 +435,8 @@ def command(draw, path, n, out):
 def test_cli_exit_code_contract(tmp_path, capsys, data):
     """Every run on a mutated file or option exits 0, 1 or 2 without a
     traceback, prints no cost on failure, and an invalid instance prints
-    the same violation= lines as validate."""
-    name, raw = data.draw(mutated_file())
+    only the violation= lines of validate, which exits 1 on it."""
+    how, name, raw = data.draw(mutated_file())
     where = data.draw(st.sampled_from(["file", "file", "file", "file", "directory", "missing"]))
     path = tmp_path / "in.json"
     path.write_bytes(raw)
@@ -420,10 +447,11 @@ def test_cli_exit_code_contract(tmp_path, capsys, data):
     argv = data.draw(command(str(path), order_size(BASE[name]), str(tmp_path / "out.json")))
     code, out, _ = check_contract(capsys, argv)
     violations = [line for line in out.splitlines() if line.startswith("violation=")]
-    if violations:
-        assert code == 1
+    if violations or (how in INVALID and where == "file"):
         v_code, v_out, _ = check_contract(capsys, ["validate", str(path)])
-        assert (v_code, v_out.splitlines()) == (1, violations)
+        assert v_code == 1 and v_out.startswith("violation="), (how, v_code, v_out)
+    if violations:
+        assert (code, out.splitlines()) == (1, v_out.splitlines())
 
 
 def simplified_doc(**changes):
@@ -464,6 +492,14 @@ PROBES = [
     ("bool-p", with_token(BASE["simplified"], "p", 0, "true"), ["evaluate", "{path}", spec(4)], 2),
     ("bool-dist", with_token(BASE["original"], "dist", 0, "false"), ["evaluate", "{path}", spec(3)], 2),
     ("bool-C", with_token(BASE["tsp"], "C", 1, "true"), ["reduce", "{path}", "--from", "tsp"], 2),
+    ("tsp-asymmetric", json.dumps(dict(BASE["tsp"], C=[[0, 1, 2], [1, 0, 1], [1, 1, 0]])), ["validate", "{path}"], 1),
+    ("tsp-negative", with_token(BASE["tsp"], "C", 1, "-1.5"), ["reduce", "{path}", "--from", "tsp"], 1),
+    ("tsp-not-square", json.dumps(dict(BASE["tsp"], C=[[0, 1, 1], [1, 0, 1]])), ["reduce", "{path}", "--from", "tsp"],
+     1),
+    ("tsp-overflow", with_token(BASE["tsp"], "C", 1, "1e999"), ["reduce", "{path}", "--from", "tsp"], 1),
+    ("tsp-ragged", json.dumps(dict(BASE["tsp"], C=[[0, 1, 1], [1, 0], [1, 1, 0]])), ["validate", "{path}"], 2),
+    ("vertex-map-validate", json.dumps({"format": "setp/1", "kind": "vertex_map", "map": {"0": 0}}),
+     ["validate", "{path}"], 2),
 ]
 
 
@@ -476,4 +512,13 @@ def test_cli_rejects_bad_input(tmp_path, capsys, text, argv, expected):
     code, out, err = check_contract(capsys, [a.replace("{path}", str(path)) for a in argv])
     assert code == expected
     assert ("violation=" in out) == (expected == 1 and "guard" not in err)
-    assert not (tmp_path / "in.json.simplified.json").exists()  # reduce wrote nothing
+    if "violation=" in out:  # and no epsilon= or instance= line
+        assert all(line.startswith("violation=") for line in out.splitlines())
+    assert not list(tmp_path.glob("in.json.*"))  # reduce wrote nothing
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy's graph routines load only when a shortest path is computed."""
+    code = "import sys, setp.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
