@@ -51,8 +51,9 @@ class SimplifiedInstance:
     p: np.ndarray
 
     def __post_init__(self):
-        D = np.asarray(self.D, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        # private copies, so that freezing them leaves the caller's arrays writable
+        D = np.array(self.D, dtype=float)
+        p = np.array(self.p, dtype=float)
         D.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "D", D)

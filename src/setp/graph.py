@@ -109,8 +109,10 @@ def all_eulerian_tours(g: Multigraph, start: int, max_edges: int = 12):
     yield from walk(start)
 
 
-def all_pairs_shortest_paths(g: Multigraph, dist) -> np.ndarray:
-    """Shortest-path distance matrix over g.vertices (in sorted-vertex order).
+def all_pairs_shortest_paths(g: Multigraph, dist, sources=None) -> np.ndarray:
+    """Shortest-path distances from `sources` (positions in g.vertices; all of
+    them by default) to every vertex, one row per source, columns in
+    sorted-vertex order.
 
     `dist` maps edge id to a nonnegative length. Unreachable pairs come out
     as +inf (impossible for Eulerian inputs).
@@ -124,13 +126,18 @@ def all_pairs_shortest_paths(g: Multigraph, dist) -> np.ndarray:
         i, j = g.index(u), g.index(v)
         if d < W[i, j]:
             W[i, j] = W[j, i] = d
-    return metric_closure(W)
+    return metric_closure(W, sources)
 
 
-def metric_closure(W: np.ndarray) -> np.ndarray:
+def metric_closure(W: np.ndarray, sources=None) -> np.ndarray:
     """Shortest-path distances of the undirected graph whose dense length
-    matrix is `W`; +inf marks "no edge", so zero-length edges survive."""
+    matrix is `W`; +inf marks "no edge", so zero-length edges survive.
+
+    Returns the rows of `sources` (any sequence of vertex positions, in any
+    order), or the whole closure when it is None. Each row is one Dijkstra
+    run, so a row does not depend on which other rows are asked for.
+    """
     # Imported here: scipy.sparse.csgraph takes about 0.3 s to load, over half
     # of `import setp.cli`, and most commands compute no shortest path.
     from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
-    return shortest_path(csgraph_from_dense(W, null_value=np.inf), method="D", directed=False)
+    return shortest_path(csgraph_from_dense(W, null_value=np.inf), method="D", directed=False, indices=sources)

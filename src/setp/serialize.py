@@ -88,12 +88,12 @@ def from_document(doc: dict[str, Any]):
             )
         if kind == "simplified":
             return SimplifiedInstance(
-                D=np.asarray(_numbers(doc["D"]), dtype=float),
+                D=_numbers(doc["D"]),
                 R=tuple((_id(u), _id(v)) for u, v in doc["R"]),
-                p=np.asarray(_numbers(doc["p"]), dtype=float),
+                p=_numbers(doc["p"]),
             )
         if kind == "tsp":
-            return TspInstance(np.asarray(_numbers(doc["C"]), dtype=float))
+            return TspInstance(_numbers(doc["C"]))
         if kind == "vertex_map":  # dict.items rejects a map that is not an object
             return {int(k): _id(v) for k, v in dict.items(doc["map"])}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -101,8 +101,39 @@ def from_document(doc: dict[str, Any]):
     raise FormatError("unknown kind %r" % kind)
 
 
+_MATRIX = {"simplified": "D", "tsp": "C"}  # the document key of each kind's matrix attribute
+_PLACEHOLDER = "\0matrix"  # no other string in a simplified or tsp document holds a NUL
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """`a` as json.dumps(a.tolist(), indent=1) writes it `level` levels deep,
+    with each innermost row joined from float.__repr__ in one call."""
+    if a.ndim == 0:
+        return float.__repr__(float(a))
+    if len(a) == 0:
+        return "[]"
+    inner = ",\n" + " " * (level + 1)
+    if a.ndim == 1:
+        items = map(float.__repr__, a.tolist())
+    else:
+        items = (_array_text(row, level + 1) for row in a)
+    return "[" + inner[1:] + inner.join(items) + "\n" + " " * level + "]"
+
+
 def dumps(obj) -> str:
-    return json.dumps(to_document(obj), indent=1, allow_nan=False) + "\n"
+    """The JSON text of `obj`'s document, as json.dumps(indent=1, allow_nan=False)
+    writes it. The pure-Python encoder that indent=1 selects is slow on a
+    matrix, so a simplified or tsp matrix is written by `_array_text`."""
+    doc = to_document(obj)
+    key = _MATRIX.get(doc["kind"])
+    if key is None:
+        return json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    M = getattr(obj, key)
+    if not np.isfinite(M).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    doc[key] = _PLACEHOLDER
+    text = json.dumps(doc, indent=1, allow_nan=False)
+    return text.replace(json.dumps(_PLACEHOLDER), _array_text(M, 1), 1) + "\n"
 
 
 def save(obj, path) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, canonicalize
+from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, canonicalize, validate_tsp
 from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian, metric_closure
 
 VertexMap = dict[int, int]
@@ -65,8 +65,10 @@ def simplify(inst: OriginalInstance, epsilon: float | None = None):
     origin = [v for eid in inst.required for v in inst.edges[eid]] + [inst.depot, inst.depot]
     lengths = [inst.dist[eid] for eid in inst.required] + [epsilon]
     p = np.append(np.asarray(inst.prob, dtype=float), 1.0)
-    sp = all_pairs_shortest_paths(g, inst.dist)
-    return _split(sp, [g.index(v) for v in origin], origin, lengths, p)
+    # Dijkstra only from the vertices that have copies, not from every vertex
+    sources, pos = np.unique([g.index(v) for v in origin], return_inverse=True)
+    sp = all_pairs_shortest_paths(g, inst.dist, sources)
+    return _split(sp[:, sources], pos, origin, lengths, p)
 
 
 def _split(M, idx, origin, lengths, p):
@@ -90,7 +92,7 @@ class TspInstance:
     """TSP cost matrix over cities 0..m-1, read-only; `core.validate_tsp` checks it."""
 
     def __init__(self, C):
-        self.C = np.asarray(C, dtype=float)
+        self.C = np.array(C, dtype=float)  # a private copy: freezing it leaves C writable
         self.C.setflags(write=False)
 
     @property
@@ -104,9 +106,13 @@ class TspInstance:
 
 def tsp_to_setp(tsp: TspInstance, epsilon: float):
     """Replace each city by two vertices at mutual distance epsilon, joined by
-    a probability-1 required edge. Returns (SimplifiedInstance, VertexMap)."""
+    a probability-1 required edge. Returns (SimplifiedInstance, VertexMap);
+    raises ValueError if `core.validate_tsp` finds a violation in C."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    violations = validate_tsp(tsp)
+    if violations:
+        raise ValueError("; ".join(violations))
     m = tsp.m
     if m < 3:
         raise ValueError("TSP gadget requires at least 3 cities, got %d" % m)
@@ -176,13 +182,14 @@ def gen_random_eulerian(v: int, e: int, seed: int):
     g = Multigraph(range(v), edges)
     odd = [u for u in g.vertices if g.degree(u) % 2 == 1]
     if odd:
-        sp = all_pairs_shortest_paths(g, dist)
+        # g's vertices are 0..v-1, so each is its own column in sp
+        sp = dict(zip(odd, all_pairs_shortest_paths(g, dist, odd)))
         # greedy pairing: closest remaining partner, duplicate a shortest path
         rng.shuffle(odd)
         while odd:
             a = odd.pop()
-            rest = np.asarray(odd)  # g's vertices are 0..v-1, so each is its own index in sp
-            b = int(rest[np.lexsort((rest, sp[a, rest]))[0]])
+            rest = np.asarray(odd)
+            b = int(rest[np.lexsort((rest, sp[a][rest]))[0]])
             odd.remove(b)
             # Walk back from b to a. scipy's Dijkstra leaves sp[a,u] <= sp[a,w] + d
             # on every edge (u, w) of length d, with equality at u's predecessor,
@@ -192,7 +199,7 @@ def gen_random_eulerian(v: int, e: int, seed: int):
             path = []
             u = b
             while u != a:
-                eid, u = min(g.adjacency[u], key=lambda ew: (sp[a, ew[1]] + dist[ew[0]], ew[0]))
+                eid, u = min(g.adjacency[u], key=lambda ew: (sp[a][ew[1]] + dist[ew[0]], ew[0]))
                 path.append(eid)
             for eid in reversed(path):
                 edges.append(g.edges[eid])

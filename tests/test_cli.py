@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from setp import cli, serialize, solvers
 from setp.cli import format_order_spec, parse_order_spec
-from setp.core import AprioriOrder
-from setp.transforms import gen_random_original, gen_random_simplified, gen_random_tsp
+from setp.core import AprioriOrder, SimplifiedInstance
+from setp.transforms import TspInstance, gen_random_original, gen_random_simplified, gen_random_tsp
 
 
 def run_cli(*args):
@@ -35,7 +36,44 @@ class TestOrderSpec:
             parse_order_spec("0*,1+", 2)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0, subnormals and 1e308 included
+MATRICES = arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4), elements=FINITE)
+
+
+@st.composite
+def simplified_instances(draw):
+    n = draw(st.integers(1, 3))
+    return SimplifiedInstance(
+        D=draw(st.one_of(arrays(np.float64, (2 * n, 2 * n), elements=FINITE), MATRICES)),
+        R=tuple((2 * i, 2 * i + 1) for i in range(n)),
+        p=draw(arrays(np.float64, n, elements=st.floats(0.0, 1.0))),
+    )
+
+
+DOCUMENT_OBJECTS = st.one_of(
+    simplified_instances(),
+    st.builds(TspInstance, MATRICES),
+    st.builds(gen_random_original, st.integers(3, 6), st.integers(6, 9), st.integers(1, 3), st.integers(0, 99)),
+    st.dictionaries(st.integers(0, 99), st.integers(0, 99)),
+)
+
+
 class TestSerialization:
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENT_OBJECTS)
+    def test_dumps_is_json_dumps_of_document(self, obj):
+        assert serialize.dumps(obj) == json.dumps(serialize.to_document(obj), indent=1, allow_nan=False) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dumps_rejects_non_finite_matrix_entry(self, data):
+        shape = data.draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+        M = data.draw(arrays(np.float64, shape, elements=FINITE))
+        M.flat[data.draw(st.integers(0, M.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        obj = data.draw(st.sampled_from([TspInstance(M), SimplifiedInstance(D=M, R=((0, 1),), p=[0.5])]))
+        with pytest.raises(ValueError):
+            serialize.dumps(obj)
+
     @pytest.mark.parametrize(
         "obj",
         [

@@ -13,6 +13,7 @@ from setp.core import (
     validate_tour,
 )
 from setp.graph import Multigraph, all_eulerian_tours
+from setp.transforms import TspInstance
 
 
 def k3(depot=0, required=(0,), prob=(1.0,)):
@@ -88,6 +89,22 @@ class TestValidateSimplified:
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         inst = SimplifiedInstance(D=D, R=[(0, 1)], p=[0.5])
         assert any("symmetric" in m for m in validate_simplified(inst))
+
+
+def test_simplified_instance_freezes_a_copy():
+    D, p = np.zeros((2, 2)), np.full(1, 0.5)
+    inst = SimplifiedInstance(D=D, R=[(0, 1)], p=p)
+    D[0, 1] = p[0] = 1.0  # the caller's arrays stay writable and are not shared
+    assert inst.D[0, 1] == 0.0 and inst.p[0] == 0.5
+    assert not inst.D.flags.writeable and not inst.p.flags.writeable
+
+
+def test_tsp_instance_freezes_a_copy():
+    C = np.zeros((3, 3))
+    inst = TspInstance(C)
+    C[0, 1] = 1.0
+    assert inst.C[0, 1] == 0.0
+    assert not inst.C.flags.writeable
 
 
 class TestCanonicalize:

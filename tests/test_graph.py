@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setp.core import EulerianTour, OriginalInstance, validate_tour
 from setp.graph import (
@@ -124,3 +126,29 @@ class TestShortestPaths:
             for j in range(k):
                 for h in range(k):
                     assert M[i, j] <= M[i, h] + M[h, j] + 1e-12
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A connected multigraph on k >= 2 vertices with gaps in its ids, parallel
+    edges and zero-length edges, with its lengths and a list of row positions
+    (any subset, in any order)."""
+    k = draw(st.integers(2, 7))
+    ids = sorted(draw(st.sets(st.integers(0, 30), min_size=k, max_size=k)))
+    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, k)]
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda uv: uv[0] != uv[1])
+    edges += draw(st.lists(pairs, max_size=10))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4))  # parallel copies
+    length = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
+    dist = draw(st.lists(length, min_size=len(edges), max_size=len(edges)))
+    sources = draw(st.lists(st.integers(0, k - 1), unique=True))
+    return Multigraph(ids, edges), dist, sources
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_multigraphs())
+def test_source_rows_equal_full_closure_rows(case):
+    g, dist, sources = case
+    rows = all_pairs_shortest_paths(g, dist, sources)
+    assert rows.shape == (len(sources), len(g.vertices))
+    assert np.array_equal(rows, all_pairs_shortest_paths(g, dist)[sources])

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from setp import serialize
+from setp import graph, serialize
 from setp.core import (
     AprioriOrder,
     OriginalInstance,
     validate_original,
     validate_simplified,
+    validate_tsp,
 )
 from setp.graph import Multigraph, is_eulerian
 from setp.solvers import brute_force, brute_force_tsp
@@ -28,6 +29,7 @@ from setp.transforms import (
     simplify,
     tsp_to_setp,
 )
+from setp.transforms import _split
 
 
 class TestEmbedDepot:
@@ -79,6 +81,44 @@ class TestSimplify:
         with pytest.raises(ValueError):
             simplify(self.doubled_triangle(), epsilon=0.0)
 
+    @staticmethod
+    def shared_endpoints(seed):
+        """A random original whose required edges share endpoints with each
+        other and, with the depot moved onto one of them, with the depot."""
+        inst = gen_random_original(6, 10, 8, seed=seed)
+        ends = [v for eid in inst.required for v in inst.edges[eid]]
+        depot = ends[seed % len(ends)]
+        assert len(set(ends)) < len(ends)
+        return OriginalInstance(inst.vertices, inst.edges, inst.dist, depot, inst.required, inst.prob)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_split_of_full_closure(self, seed):
+        inst = self.shared_endpoints(seed)
+        assert validate_original(inst) == []
+        g = Multigraph.from_instance(inst)
+        origin = [v for eid in inst.required for v in inst.edges[eid]] + [inst.depot, inst.depot]
+        lengths = [inst.dist[eid] for eid in inst.required] + [default_epsilon(inst.dist)]
+        p = list(inst.prob) + [1.0]
+        full = graph.all_pairs_shortest_paths(g, inst.dist)
+        expect, expect_map = _split(full, [g.index(v) for v in origin], origin, lengths, p)
+        simp, vmap = simplify(inst)
+        assert serialize.dumps(simp) == serialize.dumps(expect)
+        assert vmap == expect_map
+
+    def test_dijkstra_runs_only_from_copied_vertices(self, monkeypatch):
+        inst = gen_random_original(40, 120, 10, seed=3)
+        asked, closure = [], graph.metric_closure
+
+        def recording_closure(W, sources=None):
+            asked.append(sources)
+            return closure(W, sources)
+
+        monkeypatch.setattr(graph, "metric_closure", recording_closure)
+        simplify(inst)
+        (sources,) = asked
+        assert sources is not None
+        assert len(set(sources)) <= 2 * inst.n + 1 < len(inst.vertices)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_connection_entries_satisfy_triangle_inequality(self, seed):
         # metric closure property; the matched pairs keep their own edge
@@ -125,6 +165,18 @@ class TestTspGadget:
         simp, _ = tsp_to_setp(self.unit_triangle(), epsilon=1e-6)
         res = brute_force(simp)
         assert res.cost.value == pytest.approx(3 + 3e-6, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "C",
+        [np.zeros((3, 4)), [[0, 1, 2], [1, 0, 1], [1, 1, 0]], [[0, -1, 1], [-1, 0, 1], [1, 1, 0]],
+         [[1, 1, 1], [1, 0, 1], [1, 1, 0]], [[0, np.nan, 1], [np.nan, 0, 1], [1, 1, 0]]],
+        ids=["not-square", "asymmetric", "negative", "diagonal", "nan"],
+    )
+    def test_invalid_matrix_rejected(self, C):
+        tsp = TspInstance(C)
+        with pytest.raises(ValueError) as info:
+            tsp_to_setp(tsp, epsilon=1e-6)
+        assert str(info.value) == "; ".join(validate_tsp(tsp)) != ""
 
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):
