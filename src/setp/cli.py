@@ -71,6 +71,9 @@ def non_negative(convert):
 # Cost evaluations `solve --heuristic` may spend when --budget is not given.
 HEURISTIC_BUDGET = 1_000_000
 
+# Scenarios `evaluate --method mc` samples when --samples is not given.
+MC_SAMPLES = 100_000
+
 # The kind of each type serialize.load returns.
 KINDS = {OriginalInstance: "original", SimplifiedInstance: "simplified", transforms.TspInstance: "tsp",
          dict: "vertex_map"}
@@ -112,6 +115,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.method != "mc" and (args.samples is not None or args.seed is not None):
+        print("error=--samples and --seed apply to --method mc only", file=sys.stderr)
+        return 2
     inst, _ = _reduce(_load(args.path, "original", "simplified"))
     try:
         order = parse_order_spec(args.order, inst.n)
@@ -123,13 +129,14 @@ def cmd_evaluate(args) -> int:
     elif args.method == "enum":
         res = expected_cost_enumeration(order, inst)
     else:
-        res = expected_cost_monte_carlo(order, inst, samples=args.samples, seed=args.seed)
+        samples, seed = args.samples or MC_SAMPLES, args.seed or 0
+        res = expected_cost_monte_carlo(order, inst, samples=samples, seed=seed)
     print("method=%s" % res.method)
     print("value=%r" % res.value)
     if res.method == "monte_carlo":
         print("stderr=%r" % res.stderr)
-        print("samples=%d" % args.samples)
-        print("seed=%d" % args.seed)
+        print("samples=%d" % samples)
+        print("seed=%d" % seed)
     return 0
 
 
@@ -213,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("order", help="comma list of edge indices with +/- orientation, e.g. 0+,2-,1+")
     p.add_argument("--method", choices=["closed", "enum", "mc"], default="closed")
-    p.add_argument("--samples", type=positive(int), default=100_000)
-    p.add_argument("--seed", type=non_negative(int), default=0)
+    p.add_argument("--samples", type=positive(int), default=None,
+                   help="Monte Carlo samples for --method mc (default %d)" % MC_SAMPLES)
+    p.add_argument("--seed", type=non_negative(int), default=None, help="Monte Carlo seed for --method mc (default 0)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("solve", help="optimize the expected cost")

@@ -174,29 +174,16 @@ def expected_cost_monte_carlo(
     return ExpectedCost(value=mean, method=MONTE_CARLO, stderr=stderr)
 
 
-def expected_cost_original(
-    tour: EulerianTour,
-    inst: OriginalInstance,
-    method: str = CLOSED_FORM,
-    epsilon: float | None = None,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> ExpectedCost:
+def expected_cost_original(tour: EulerianTour, inst: OriginalInstance, epsilon: float | None = None) -> ExpectedCost:
     """Expected cost of an Eulerian tour, via the simplified composition.
 
     Simplifies the instance, maps the tour to its induced order (with the
-    depot edge prepended) and runs the chosen simplified evaluator. The
-    depot edge contributes at most 2*epsilon to the value.
+    depot edge prepended) and evaluates it in closed form. The depot edge
+    contributes at most 2*epsilon to the value.
     """
     simp, _ = transforms.simplify(inst, epsilon=epsilon)
     order = transforms.attach_depot_edge(induced_order(tour, inst), inst.n)
-    if method == CLOSED_FORM:
-        return expected_cost_closed_form(order, simp)
-    if method == ENUMERATION:
-        return expected_cost_enumeration(order, simp)
-    if method == MONTE_CARLO:
-        return expected_cost_monte_carlo(order, simp, samples=samples, seed=seed)
-    raise ValueError("unknown method %r" % method)
+    return expected_cost_closed_form(order, simp)
 
 
 def expected_cost_original_direct(tour: EulerianTour, inst: OriginalInstance) -> ExpectedCost:

@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from .core import OriginalInstance, SimplifiedInstance
-from .transforms import TspInstance, VertexMap
+from .transforms import TspInstance
 
 FORMAT = "setp/1"
 
@@ -38,12 +38,12 @@ def to_document(obj) -> dict[str, Any]:
         return {
             "format": FORMAT,
             "kind": "simplified",
-            "D": obj.D.tolist(),
+            "D": obj.D,
             "R": [list(e) for e in obj.R],
-            "p": obj.p.tolist(),
+            "p": obj.p,
         }
     if isinstance(obj, TspInstance):
-        return {"format": FORMAT, "kind": "tsp", "C": obj.C.tolist()}
+        return {"format": FORMAT, "kind": "tsp", "C": obj.C}
     if isinstance(obj, dict):  # a VertexMap
         return {"format": FORMAT, "kind": "vertex_map", "map": {str(k): int(v) for k, v in obj.items()}}
     raise TypeError("cannot serialize %r" % type(obj))
@@ -101,10 +101,6 @@ def from_document(doc: dict[str, Any]):
     raise FormatError("unknown kind %r" % kind)
 
 
-_MATRIX = {"simplified": "D", "tsp": "C"}  # the document key of each kind's matrix attribute
-_PLACEHOLDER = "\0matrix"  # no other string in a simplified or tsp document holds a NUL
-
-
 def _array_text(a: np.ndarray, level: int) -> str:
     """`a` as json.dumps(a.tolist(), indent=1) writes it `level` levels deep,
     with each innermost row joined from float.__repr__ in one call."""
@@ -121,19 +117,21 @@ def _array_text(a: np.ndarray, level: int) -> str:
 
 
 def dumps(obj) -> str:
-    """The JSON text of `obj`'s document, as json.dumps(indent=1, allow_nan=False)
-    writes it. The pure-Python encoder that indent=1 selects is slow on a
-    matrix, so a simplified or tsp matrix is written by `_array_text`."""
-    doc = to_document(obj)
-    key = _MATRIX.get(doc["kind"])
-    if key is None:
-        return json.dumps(doc, indent=1, allow_nan=False) + "\n"
-    M = getattr(obj, key)
-    if not np.isfinite(M).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    doc[key] = _PLACEHOLDER
-    text = json.dumps(doc, indent=1, allow_nan=False)
-    return text.replace(json.dumps(_PLACEHOLDER), _array_text(M, 1), 1) + "\n"
+    """The JSON text of `obj`'s document, as json.dumps(indent=1, allow_nan=False,
+    default=np.ndarray.tolist) writes it. The pure-Python encoder that indent=1
+    selects is slow on a matrix, so each array is written by `_array_text`."""
+    parts = []  # joined once, so a large array's text is copied only into the result
+    for key, value in to_document(obj).items():
+        if isinstance(value, np.ndarray):
+            if not np.isfinite(value).all():
+                raise ValueError("Out of range float values are not JSON compliant")
+            text = _array_text(value, 1)
+        else:  # json writes no raw newline inside a string
+            text = json.dumps(value, indent=1, allow_nan=False).replace("\n", "\n ")
+        parts += [",\n ", json.dumps(key), ": ", text]
+    parts[0] = "{\n "
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def save(obj, path) -> None:
@@ -156,10 +154,3 @@ def _read(path):
 
 def load(path):
     return from_document(_read(path))
-
-
-def load_vertex_map(path) -> VertexMap:
-    vmap = load(path)
-    if not isinstance(vmap, dict):
-        raise FormatError("%s is not a %s vertex_map document" % (path, FORMAT))
-    return vmap

@@ -62,15 +62,17 @@ class TestSerialization:
     @settings(max_examples=300, deadline=None)
     @given(DOCUMENT_OBJECTS)
     def test_dumps_is_json_dumps_of_document(self, obj):
-        assert serialize.dumps(obj) == json.dumps(serialize.to_document(obj), indent=1, allow_nan=False) + "\n"
+        doc = serialize.to_document(obj)
+        assert serialize.dumps(obj) == json.dumps(doc, indent=1, allow_nan=False, default=np.ndarray.tolist) + "\n"
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_dumps_rejects_non_finite_matrix_entry(self, data):
-        shape = data.draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4))
+        shape = data.draw(array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4))
         M = data.draw(arrays(np.float64, shape, elements=FINITE))
         M.flat[data.draw(st.integers(0, M.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-        obj = data.draw(st.sampled_from([TspInstance(M), SimplifiedInstance(D=M, R=((0, 1),), p=[0.5])]))
+        obj = data.draw(st.sampled_from([TspInstance(M), SimplifiedInstance(D=M, R=((0, 1),), p=[0.5]),
+                                         SimplifiedInstance(D=np.zeros((2, 2)), R=((0, 1),), p=M)]))
         with pytest.raises(ValueError):
             serialize.dumps(obj)
 
@@ -100,9 +102,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "doc",
-        [[1, 2], {"map": [1, 2]}, {"map": {"0": 1.5}}, {"map": {"0": True}}, {"map": {"x": 1}}, {},
-         {"kind": "tsp", "C": [[0.0]]}],
-        ids=["list", "map-list", "fractional-id", "boolean-id", "bad-key", "no-map", "other-kind"],
+        [[1, 2], {"map": [1, 2]}, {"map": {"0": 1.5}}, {"map": {"0": True}}, {"map": {"x": 1}}, {}],
+        ids=["list", "map-list", "fractional-id", "boolean-id", "bad-key", "no-map"],
     )
     def test_malformed_vertex_map(self, doc, tmp_path):
         if isinstance(doc, dict):
@@ -110,7 +111,7 @@ class TestSerialization:
         path = tmp_path / "bad.map"
         path.write_text(json.dumps(doc))
         with pytest.raises(serialize.FormatError):
-            serialize.load_vertex_map(path)
+            serialize.load(path)
 
 
 class TestValidateCommand:
@@ -123,7 +124,7 @@ class TestValidateCommand:
 
     def test_invalid_probability(self, tmp_path):
         inst = gen_random_simplified(2, seed=0)
-        doc = serialize.to_document(inst)
+        doc = json.loads(serialize.dumps(inst))
         doc["p"][0] = 1.5
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -223,7 +224,7 @@ class TestReduceCommand:
         simp = serialize.load(out)
         assert simp.size == 6 and simp.n == 3
         assert np.all(simp.p == 1.0)
-        vmap = serialize.load_vertex_map(str(out) + ".map")
+        vmap = serialize.load(str(out) + ".map")
         assert vmap == {x: x // 2 for x in range(6)}
 
     def test_original_has_depot_edge(self, tmp_path):
@@ -330,11 +331,11 @@ class TestVerifyCommand:
 # A valid document of each kind; the n=10 and n=21 ones reach the exact and
 # enumeration size guards.
 BASE = {
-    "simplified": serialize.to_document(gen_random_simplified(4, seed=3)),
-    "simplified10": serialize.to_document(gen_random_simplified(10, seed=4)),
-    "simplified21": serialize.to_document(gen_random_simplified(21, seed=5)),
-    "original": serialize.to_document(gen_random_original(5, 8, 2, seed=1)),
-    "tsp": serialize.to_document(gen_random_tsp(4, seed=2)),
+    "simplified": json.loads(serialize.dumps(gen_random_simplified(4, seed=3))),
+    "simplified10": json.loads(serialize.dumps(gen_random_simplified(10, seed=4))),
+    "simplified21": json.loads(serialize.dumps(gen_random_simplified(21, seed=5))),
+    "original": json.loads(serialize.dumps(gen_random_original(5, 8, 2, seed=1))),
+    "tsp": json.loads(serialize.dumps(gen_random_tsp(4, seed=2))),
 }
 # The lists whose entries a token mutation replaces.
 LEAVES = {"simplified": ("D", "p", "R"), "original": ("dist", "prob", "required", "edges", "vertices"), "tsp": ("C",)}
@@ -512,6 +513,9 @@ PROBES = [
     ("non-utf8", '{"format": "setp/1", "kind": "\udcff"}', ["validate", "{path}"], 2),
     ("samples-zero", json.dumps(BASE["simplified"]), ["evaluate", "{path}", spec(4), "--method", "mc", "--samples", "0"], 2),
     ("seed-negative", json.dumps(BASE["simplified"]), ["evaluate", "{path}", spec(4), "--method", "mc", "--seed", "-5"], 2),
+    ("samples-without-mc", json.dumps(BASE["simplified"]), ["evaluate", "{path}", spec(4), "--samples", "5"], 2),
+    ("seed-with-enum", json.dumps(BASE["simplified"]), ["evaluate", "{path}", spec(4), "--method", "enum", "--seed", "1"],
+     2),
     ("budget-zero", json.dumps(BASE["simplified"]), ["solve", "--heuristic", "--budget", "0", "{path}"], 2),
     ("budget-negative", json.dumps(BASE["simplified"]), ["solve", "--heuristic", "--budget", "-3", "{path}"], 2),
     ("budget-with-exact", json.dumps(BASE["simplified"]), ["solve", "--exact", "--budget", "3", "{path}"], 2),

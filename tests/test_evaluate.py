@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setp import evaluate, solvers
-from setp.core import AprioriOrder, Scenario, SimplifiedInstance, canonicalize
+from setp.core import AprioriOrder, Scenario, SimplifiedInstance, canonicalize, induced_order
 from setp.evaluate import (
     aposteriori_cost,
     expected_cost_closed_form,
@@ -20,7 +20,7 @@ from setp.evaluate import (
     weighted_tour_costs,
 )
 from setp.graph import Multigraph, all_eulerian_tours, hierholzer
-from setp.transforms import gen_random_original, gen_random_simplified
+from setp.transforms import attach_depot_edge, gen_random_original, gen_random_simplified, simplify
 
 
 def two_edge_instance():
@@ -293,8 +293,14 @@ class TestOriginalForm:
     def test_methods_agree(self, method):
         inst = gen_random_original(4, 5, 2, seed=12)
         tour = hierholzer(Multigraph.from_instance(inst), inst.depot)
-        ref = expected_cost_original(tour, inst, method="enumeration").value
-        got = expected_cost_original(tour, inst, method=method, samples=200_000, seed=4)
+        simp, _ = simplify(inst)
+        order = attach_depot_edge(induced_order(tour, inst), inst.n)
+        ref = expected_cost_enumeration(order, simp).value
+        got = {
+            "closed_form": lambda: expected_cost_original(tour, inst),
+            "enumeration": lambda: expected_cost_enumeration(order, simp),
+            "monte_carlo": lambda: expected_cost_monte_carlo(order, simp, samples=200_000, seed=4),
+        }[method]()
         if method == "monte_carlo":
             assert abs(got.value - ref) <= max(4 * got.stderr, 1e-9)
         else:
