@@ -2,7 +2,8 @@
 
 Reports are line-oriented key=value records on stdout. Exit codes: 0 success,
 1 domain failure (invalid instance, failed check), 2 usage or parse error.
-Timing goes to stderr so that seeded runs are byte-reproducible on stdout.
+Timing and search counters go to stderr so that seeded runs are
+byte-reproducible on stdout.
 """
 
 from __future__ import annotations
@@ -153,6 +154,9 @@ def cmd_solve(args) -> int:
     print("order=%s" % format_order_spec(result.order))
     print("cost=%r" % result.cost.value)
     print("evaluations=%d" % result.evaluations)
+    if not args.exact:
+        print("stop=%s" % result.stop, file=sys.stderr)
+        print("sweeps=%d" % result.sweeps, file=sys.stderr)
     print("wall_time=%.3fs" % result.wall_time, file=sys.stderr)
     return 0
 

@@ -74,21 +74,22 @@ def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarr
     `a`, `b` hold tail/head vertex ids per cyclic position and `W` the
     per-position service probabilities, each shaped (n,) or (..., n) with
     leading shapes that broadcast. The cost sums, by linearity, over the
-    events "position i served, next served is i+t". The closed form and local
-    search use it, and brute force settles its near-minimum candidates with
-    it; 0/1 scenario rows go to `scenario_costs`.
+    events "position i served, next served is i+t". The closed form uses it,
+    and both searches settle their near-minimum candidates with it; 0/1
+    scenario rows go to `scenario_costs`.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     n = W.shape[-1]
     svc = D[a, b]
     cost = (W * svc).sum(axis=-1)
     run = np.ones_like(W)
-    q = 1.0 - W
+    # rows concatenated with themselves: [..., t:t + n] is the row shifted left by t
+    W2 = np.concatenate([W, W], axis=-1)
+    a2 = np.concatenate([a, a], axis=-1)
+    q2 = 1.0 - W2
     for t in range(1, n):
-        Wj = np.roll(W, -t, axis=-1)
-        aj = np.roll(a, -t, axis=-1)
-        cost = cost + (W * Wj * run * D[b, aj]).sum(axis=-1)
-        run = run * np.roll(q, -t, axis=-1)
+        cost = cost + (W * W2[..., t : t + n] * run * D[b, a2[..., t : t + n]]).sum(axis=-1)
+        run = run * q2[..., t : t + n]
     # wrap term: position i served and nothing else is
     cost = cost + (W * run * D[b, a]).sum(axis=-1)
     return cost

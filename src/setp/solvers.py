@@ -23,6 +23,8 @@ class SolveResult:
     cost: ExpectedCost
     evaluations: int
     wall_time: float
+    sweeps: int = 0  # neighborhood sweeps of local search
+    stop: str = "exhaustive"  # local search: "local_optimum" or "budget"
 
 
 def _orientation_costs(inst: SimplifiedInstance, orients: np.ndarray):
@@ -68,17 +70,28 @@ def _orientation_costs(inst: SimplifiedInstance, orients: np.ndarray):
 
 
 def _rounding_bound(inst: SimplifiedInstance) -> float:
-    """Bound on |_orientation_costs - weighted_tour_costs| for any candidate.
+    """Bound on |screen estimate - weighted_tour_costs| for any candidate of
+    either search: `_orientation_costs` in brute force, `_reversal_deltas` plus
+    the current cost in local search.
 
-    Each evaluation sums O(n^2) terms: probabilities whose total is at most 2n
-    (n service weights, and per position hop and wrap weights that add up to at
-    most its own) times distances, or times differences of at most four
-    distances. The absolute terms thus total at most about 12n*max|D|, and a
-    sum of m of them rounds by at most m*2^-53 of that. For m up to 2n^2 and
-    n <= 12 the two evaluations together stay within n*max|D|*2^-40. The
+    With u = 2^-53 and M = max|D|, every value is a sum of products of
+    probabilities with distances, or with differences of at most four
+    distances. A position's weights total at most 2 (its service weight, then
+    hop and wrap weights that split its own probability), so the absolute
+    terms of one tour total at most 2nM, and at most 12nM in brute force's
+    quadratic form; local search's crossing terms are pair terms of two tours,
+    at most 2nM. A term of the kernel passes through at most 4n + 3 roundings
+    (run products of up to n - 1 factors of 1 - w, then n positions and n
+    shifts summed); a term of the local screen through at most 6n + 7 (two
+    skip products, a cumulative sum over outside positions, a sum over the
+    segment). Two kernel values and one screen thus differ by at most
+    (28n^2 + 26n)uM <= 64n^2*uM, an eighth of the bound, for every n. Brute
+    force's matrix product adds n^2 terms per candidate, about
+    (12n^3 + 56n^2 + 54n)uM in all, which stays within the bound for n <= 37,
+    far past the n at which (n-1)!*2^n candidates can be enumerated. The
     bound scales with D, so a rescaled instance keeps the same candidates.
     """
-    return inst.n * float(np.abs(inst.D).max()) * 2.0**-40
+    return inst.n**2 * float(np.abs(inst.D).max()) * 2.0**-44
 
 
 def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> SolveResult:
@@ -168,46 +181,118 @@ def _moved(seq: np.ndarray, orient: np.ndarray, i: np.ndarray, j: np.ndarray):
     return seq[src], orient[src] ^ inside
 
 
+def _crossing_deltas(D: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """T[i, k]: change of the pair terms from the k positions before i into
+    the segment i..i+n-k-1 when that segment is reversed and flipped.
+
+    For an outside position x and a segment position y, the term x -> y goes
+    from G(x->i)*Q(i..y-1)*D[b_x, a_y] to G(x->i)*Q(y+1..j)*D[b_x, b_y],
+    times w_x*w_y, where G and Q are the probabilities that no position
+    strictly between x and i, or in the range named, is served. Summed over
+    the k nearest x first, every k is one cumulative sum. Built in blocks of
+    start positions i of at most BATCH_CELLS cells per temporary. Moves read
+    only k >= i, since a smaller k wraps the segment past position n-1: a
+    block skips the k below its first start, and its other entries with
+    k < i are meaningless.
+    """
+    n = len(w)
+    q = 1.0 - w
+    y = np.arange(n)
+    # skip[u, v]: probability that none of positions u..v-1 is served (1 if v <= u)
+    skip = np.ones((n + 1, n + 1))
+    skip[:n, 1:] = np.cumprod(np.where(y >= y[:, None], q, 1.0), axis=1)
+    new, old = D[np.ix_(b, b)], D[np.ix_(b, a)]
+    m = np.arange(1, n)
+    T = np.zeros((n, n))
+    for rows in _blocks(n, n * n):
+        i = y[rows, None]
+        x = (i - m) % n  # x[:, m - 1]: the m-th position before i
+        gap = np.cumprod(np.concatenate([np.ones_like(x[:, :1], dtype=float), q[x[:, :-1]]], axis=1), axis=1)
+        wx = (w[x] * gap)[..., None]
+        c = max(rows.start, 1) - 1  # column of the block's least m that a move reads
+        j = (i + n - 1 - m[c:])[..., None]  # segment end when its outside holds m positions
+        inside = (i[..., None] <= y) & (y <= j)
+        after = skip[y + 1, np.minimum(j, n - 1) + 1] * np.cumsum(wx * new[x], axis=1)[:, c:]
+        before = skip[i[..., None], y] * np.cumsum(wx * old[x], axis=1)[:, c:]
+        T[rows, c + 1 :] = np.where(inside, w * (after - before), 0.0).sum(axis=-1)
+    return T
+
+
+def _reversal_deltas(inst: SimplifiedInstance, seq: np.ndarray, orient: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Change of the closed form, up to `_rounding_bound`, of each move
+    (i, j), i <= j: positions i..j reversed and their orientations flipped.
+    O(n^3) for all moves of an order.
+
+    D must be symmetric. Then the move keeps every service and wrap term, every
+    pair term inside or outside the segment and the skip product over the
+    segment; only the pair terms between the n - L outside and the L segment
+    positions change. Terms into the segment come from `_crossing_deltas`, and
+    terms out of it from the same on the mirrored order (positions reversed,
+    tails and heads swapped), where the segment i..j sits at n-1-j..n-1-i.
+    """
+    n = inst.n
+    a, b, w = _oriented_rows(inst, seq, orient)
+    into = _crossing_deltas(inst.D, a, b, w)
+    out = _crossing_deltas(inst.D, b[::-1], a[::-1], w[::-1])
+    k = n - 1 - j + i  # positions outside the segment
+    return into[i, k] + out[n - 1 - j, k]
+
+
 def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_000_000) -> SolveResult:
     """Best-improvement descent over the 2-opt + orientation-flip neighborhood.
 
     A sweep scores all single flips, then the 2-opt moves (i, j) in
     lexicographic order (except (0, n-1), which only relabels the cycle), and
-    moves to the first neighbor of least cost if it is strictly better.
+    moves to the first neighbor of least cost if it is strictly better. Each
+    move counts as one cost evaluation. The moves are screened by
+    `_reversal_deltas`; only those whose estimate comes within twice the
+    rounding bound of the least are scored by `weighted_tour_costs`. That
+    window holds every move tying the kernel's minimum, so order, cost and
+    evaluations are those of scoring every neighbor with the kernel.
     Stops at a local optimum or when `budget` cost evaluations are spent.
-    Never returns a cost worse than the initial solution.
+    Never returns a cost worse than the initial solution. D must be symmetric.
     """
+    if not np.array_equal(inst.D, inst.D.T):
+        raise ValueError("local search needs a symmetric distance matrix")
     t0 = time.perf_counter()
     current = canonicalize(init)
     cost = expected_cost_closed_form(current, inst).value
     evaluations = 1
+    sweeps = 0
+    stop = "budget"
     n = inst.n
     pi, pj = np.triu_indices(n, 1)
     keep = (pi != 0) | (pj != n - 1)
     move_i = np.concatenate([np.arange(n), pi[keep]])
     move_j = np.concatenate([np.arange(n), pj[keep]])
-    improved = True
-    while improved and evaluations < budget:
+    window = 2.0 * _rounding_bound(inst)
+    while evaluations < budget:
         seq = np.asarray(current.sequence)
         orient = np.asarray(current.orient)
         k = min(len(move_i), budget - evaluations)
-        costs = np.empty(k)
-        for s in _blocks(k, n):
-            rows = _moved(seq, orient, move_i[s], move_j[s])
-            costs[s] = weighted_tour_costs(inst.D, *_oriented_rows(inst, *rows))
+        delta = _reversal_deltas(inst, seq, orient, move_i[:k], move_j[:k])
+        near = np.flatnonzero(delta <= delta.min() + window)
+        s2, o2 = _moved(seq, orient, move_i[near], move_j[near])
+        costs = np.empty(len(near))
+        for s in _blocks(len(near), n):  # all moves when all tie, as with p = 0
+            costs[s] = weighted_tour_costs(inst.D, *_oriented_rows(inst, s2[s], o2[s]))
         evaluations += k
+        sweeps += 1
         costs[~(costs < cost)] = np.inf  # only strict improvements compete; NaN never wins
         best = int(np.argmin(costs))
-        improved = bool(costs[best] < cost)
-        if improved:
-            s2, o2 = _moved(seq, orient, move_i[best : best + 1], move_j[best : best + 1])
-            current = canonicalize(AprioriOrder(s2[0], o2[0]))
-            cost = expected_cost_closed_form(current, inst).value
+        if not costs[best] < cost:
+            if k == len(move_i):
+                stop = "local_optimum"
+            break
+        current = canonicalize(AprioriOrder(s2[best], o2[best]))
+        cost = expected_cost_closed_form(current, inst).value
     return SolveResult(
         order=current,
         cost=ExpectedCost(value=cost, method=CLOSED_FORM),
         evaluations=evaluations,
         wall_time=time.perf_counter() - t0,
+        sweeps=sweeps,
+        stop=stop,
     )
 
 

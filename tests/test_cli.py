@@ -206,6 +206,37 @@ class TestSolveCommand:
             outs.append(capsys.readouterr().out)
         assert budgets == [1_000_000, 1_000_000] and outs[0] == outs[1]
 
+    # SHA-256 of `solve --heuristic` stdout, recorded before local search
+    # screened its moves with deltas: the screen must not change any output.
+    @pytest.mark.parametrize(
+        "inst, digest",
+        [(gen_random_simplified(40, seed=0), "4a6a4cb61083e2aa6212650ac895053d9fc3de545bbcecb6da000cada7fb9751"),
+         (gen_random_simplified(24, seed=1, metric=True),
+          "99a9c01dcaca3b79b4a8b9ee44cb718929542131ee793873c9696f31c6ffa169")],
+        ids=["random-40", "metric-24"],
+    )
+    def test_heuristic_stdout_bytes(self, tmp_path, capsys, inst, digest):
+        path = tmp_path / "s.json"
+        serialize.save(inst, path)
+        assert cli.main(["solve", "--heuristic", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_heuristic_reports_stop_and_sweeps(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        serialize.save(gen_random_simplified(8, seed=4), path)
+        reports = {}
+        for budget in ("3", "1000000"):
+            assert cli.main(["solve", "--heuristic", "--budget", budget, str(path)]) == 0
+            res = capsys.readouterr()
+            err = dict(line.split("=", 1) for line in res.err.splitlines())
+            assert set(err) == {"stop", "sweeps", "wall_time"}
+            assert "stop=" not in res.out and "sweeps=" not in res.out
+            reports[budget] = (err["stop"], int(err["sweeps"]))
+        assert reports["3"] == ("budget", 1)
+        stop, sweeps = reports["1000000"]
+        assert stop == "local_optimum" and sweeps >= 1
+
     def test_original_auto_simplified(self, tmp_path):
         path = tmp_path / "o.json"
         serialize.save(gen_random_original(4, 5, 2, seed=9), path)

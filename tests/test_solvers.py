@@ -143,13 +143,18 @@ def reference_local_search(inst, init, budget):
     current = canonicalize(init)
     cost = expected_cost_closed_form(current, inst).value
     evaluations = 1
+    sweeps = 0
+    stop = "budget"
     improved = True
     while improved and evaluations < budget:
         improved = False
+        complete = True
         best_nb = None
         best_cost = cost
+        sweeps += 1
         for nb in neighbors(current):
             if evaluations >= budget:
+                complete = False
                 break
             c = expected_cost_closed_form(nb, inst).value
             evaluations += 1
@@ -160,7 +165,21 @@ def reference_local_search(inst, init, budget):
             current = canonicalize(best_nb)
             cost = expected_cost_closed_form(current, inst).value
             improved = True
-    return current, cost, evaluations
+        elif complete:
+            stop = "local_optimum"
+    return current, cost, evaluations, sweeps, stop
+
+
+def run_against_reference(n, seed, metric, budget, chunk_rows):
+    inst = gen_random_simplified(n, seed=seed, metric=metric)
+    rng = np.random.default_rng(seed)
+    init = AprioriOrder(tuple(rng.permutation(n)), tuple(rng.integers(0, 2, size=n)))
+    # A small row bound splits each sweep's tables over several blocks, as at large n.
+    cells = evaluate.BATCH_CELLS if chunk_rows is None else chunk_rows * n
+    with mock.patch.object(evaluate, "BATCH_CELLS", cells):
+        res = local_search(inst, init, budget=budget)
+    got = (res.order, res.cost.value, res.evaluations, res.sweeps, res.stop)
+    assert got == reference_local_search(inst, init, budget)
 
 
 @settings(max_examples=150, deadline=None)
@@ -172,14 +191,56 @@ def reference_local_search(inst, init, budget):
     chunk_rows=st.one_of(st.none(), st.integers(1, 20)),
 )
 def test_local_search_matches_per_neighbor_reference(n, seed, metric, budget, chunk_rows):
-    inst = gen_random_simplified(n, seed=seed, metric=metric)
+    run_against_reference(n, seed, metric, budget, chunk_rows)
+
+
+# The same up to n=26, past the n=24 the benchmark solves, with few examples
+# because the reference scores every neighbour alone.
+@settings(max_examples=6, deadline=None)
+@given(
+    n=st.integers(11, 26),
+    seed=st.integers(0, 2**16),
+    metric=st.booleans(),
+    budget=st.integers(1, 6000),
+    chunk_rows=st.one_of(st.none(), st.integers(1, 40)),
+)
+def test_local_search_matches_per_neighbor_reference_large(n, seed, metric, budget, chunk_rows):
+    run_against_reference(n, seed, metric, budget, chunk_rows)
+
+
+@st.composite
+def screened_order(draw):
+    """An instance with symmetric D (metric or not, scaled by 1e-8 to 1e8),
+    probabilities from {0, 1/2, 1} or uniform, and a random oriented order."""
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**16))
+    inst = gen_random_simplified(n, seed=seed, metric=draw(st.booleans()))
     rng = np.random.default_rng(seed)
-    init = AprioriOrder(tuple(rng.permutation(n)), tuple(rng.integers(0, 2, size=n)))
-    # A small row bound splits each sweep over several kernel calls, as at large n.
-    cells = evaluate.BATCH_CELLS if chunk_rows is None else chunk_rows * n
-    with mock.patch.object(evaluate, "BATCH_CELLS", cells):
-        res = local_search(inst, init, budget=budget)
-    assert (res.order, res.cost.value, res.evaluations) == reference_local_search(inst, init, budget)
+    D = inst.D * 10.0 ** draw(st.integers(-8, 8))
+    p = rng.choice([0.0, 0.5, 1.0], size=n) if draw(st.booleans()) else rng.random(n)
+    inst = SimplifiedInstance(D=D, R=inst.R, p=p)
+    return inst, rng.permutation(n), rng.integers(0, 2, size=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=screened_order())
+def test_reversal_deltas_match_kernel_within_bound(case):
+    # every move (i, j), i <= j, the full reversal (0, n-1) included
+    inst, seq, orient = case
+    cost = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, seq, orient))[0]
+    i, j = np.triu_indices(inst.n)
+    estimate = cost + solvers._reversal_deltas(inst, seq, orient, i, j)
+    want = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, *solvers._moved(seq, orient, i, j)))
+    assert np.abs(estimate - want).max() <= solvers._rounding_bound(inst)
+
+
+def test_local_search_rejects_asymmetric_distances():
+    inst = gen_random_simplified(5, seed=3)
+    D = inst.D.copy()
+    D[0, 3] += 0.5
+    asym = SimplifiedInstance(D=D, R=inst.R, p=inst.p)
+    with pytest.raises(ValueError, match="symmetric"):
+        local_search(asym, nearest_neighbor(asym))
 
 
 def reference_brute_force(inst):
