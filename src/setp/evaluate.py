@@ -95,23 +95,40 @@ def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarr
     return cost
 
 
-def scenario_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, served: np.ndarray) -> np.ndarray:
-    """Tour length of each 0/1 service row, in O(n) per row.
+def _step_table(D: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cost of every step of one order, flat, n^2 + 1 floats.
 
-    `a`, `b` hold the tail/head vertex ids of one order, shaped (n,);
-    `served` is a bool array (rows, n) in the same position order. Each
-    served position adds its service term D[a_i, b_i] and the hop from its
-    head to the tail of the next served position, wrapping to the row's
-    first; a lone served edge hops back to its own tail, an empty row is 0.
+    `a`, `b` hold the tail/head vertex ids of the order, shaped (n,). Entry
+    i*n + j is D[a_i, b_i] + D[b_i, a_j]: the service of position i and the
+    hop from its head to the tail of position j. The last entry, 0.0, scores
+    an unserved position.
     """
-    served = np.atleast_2d(served)
-    n = served.shape[1]
-    pos = np.arange(n)
+    return np.append((D[a, b][:, None] + D[b[:, None], a]).ravel(), 0.0)
+
+
+def scenario_costs(step: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """Tour length of each 0/1 service scenario, in O(n) per scenario.
+
+    `step` is the `_step_table` of one order; `served` is a bool array
+    (n, scenarios), position-major, in the same position order. Each served
+    position adds its service term and the hop from its head to the tail of
+    the next served position, wrapping to the scenario's first; a lone
+    served edge hops back to its own tail, an empty scenario is 0.
+    """
+    n = served.shape[0]
+    # int32 positions: the largest index, n*n, fits for n <= 46,340, where D
+    # (2n x 2n) would already hold 8.6e9 cells. Masks enter as 0/1 factors, not
+    # `where`, which runs several times slower on a broadcast position column.
+    pos = np.arange(n, dtype=np.int32)[:, None]
     # first served position at or after each position, n if there is none
-    nxt = np.minimum.accumulate(np.where(served, pos, n)[:, ::-1], axis=1)[:, ::-1]
-    succ = np.roll(nxt, -1, axis=1)
-    succ = np.minimum(np.where(succ < n, succ, nxt[:, :1]), n - 1)
-    return np.where(served, D[a, b] + D[b, a[succ]], 0.0).sum(axis=1)
+    nxt = pos + (n - pos) * ~served
+    np.minimum.accumulate(nxt[::-1], axis=0, out=nxt[::-1])
+    # next served position after each, wrapping to the scenario's first
+    succ = np.concatenate([nxt[1:], nxt[:1]])
+    succ += (nxt[:1] - n) * (succ == n)
+    hops = step.take((succ + (pos * n - n * n)) * served + n * n)
+    # each scenario's terms summed as one contiguous row, in position order
+    return np.ascontiguousarray(hops.T).sum(axis=1)
 
 
 def aposteriori_cost(order: AprioriOrder, s: Scenario, inst: SimplifiedInstance) -> float:
@@ -120,7 +137,7 @@ def aposteriori_cost(order: AprioriOrder, s: Scenario, inst: SimplifiedInstance)
         raise ValueError("scenario size %d != instance |R| = %d" % (len(s.served), inst.n))
     a, b, _ = _order_rows(order, inst)
     served = np.asarray(s.served, dtype=bool)[list(order.sequence)]
-    return float(scenario_costs(inst.D, a, b, served)[0])
+    return float(scenario_costs(_step_table(inst.D, a, b), served[:, None])[0])
 
 
 def expected_cost_closed_form(order: AprioriOrder, inst: SimplifiedInstance) -> ExpectedCost:
@@ -129,11 +146,23 @@ def expected_cost_closed_form(order: AprioriOrder, inst: SimplifiedInstance) -> 
     return ExpectedCost(value=value, method=CLOSED_FORM)
 
 
-def scenario_matrix(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Served indicators of scenarios lo..hi-1 (default all 2^n) as a bool
-    matrix; the row of scenario k holds the bits of k, position i = bit i."""
-    masks = np.arange(lo, (1 << n) if hi is None else hi, dtype=np.int64)
-    return (masks[:, None] >> np.arange(n)) & 1 == 1
+def _scenario_bits(n: int, lo: int, hi: int) -> np.ndarray:
+    """Served indicators of scenarios lo..hi-1, position-major: a bool
+    (n, hi - lo) matrix whose column for scenario k holds the bits of k,
+    position i = bit i."""
+    masks = np.arange(lo, hi, dtype=np.int64)
+    return (masks >> np.arange(n)[:, None]) & 1 == 1
+
+
+def scenario_matrix(n: int) -> np.ndarray:
+    """All 2^n served indicators as a C-contiguous bool matrix; the row of
+    scenario k holds the bits of k, position i = bit i.
+
+    Brute force broadcasts these rows as orientations into
+    `weighted_tour_costs`, whose row sums follow the memory layout of its
+    operands: a transposed view would change their rounding.
+    """
+    return np.ascontiguousarray(_scenario_bits(n, 0, 1 << n).T)
 
 
 def expected_cost_enumeration(
@@ -151,9 +180,10 @@ def expected_cost_enumeration(
     probs = np.ones(1)
     for q in p:  # after position i, index k < 2^(i+1) holds P(bits 0..i of k)
         probs = np.concatenate([probs * (1.0 - q), probs * q])
+    step = _step_table(inst.D, a, b)
     costs = np.empty(1 << n)
     for s in _blocks(1 << n, n):
-        costs[s] = scenario_costs(inst.D, a, b, scenario_matrix(n, s.start, s.stop))
+        costs[s] = scenario_costs(step, _scenario_bits(n, s.start, s.stop))
     return ExpectedCost(value=float(probs @ costs), method=ENUMERATION)
 
 
@@ -164,14 +194,16 @@ def expected_cost_monte_carlo(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     a, b, p = _order_rows(order, inst)
+    step = _step_table(inst.D, a, b)
     rng = np.random.default_rng(seed)
     costs = np.empty(samples)
     for s in _blocks(samples, len(p)):
-        costs[s] = scenario_costs(inst.D, a, b, rng.random((s.stop - s.start, len(p))) < p)
-    if np.ptp(costs) == 0.0:  # degenerate draw: exact value, no error
+        costs[s] = scenario_costs(step, (rng.random((s.stop - s.start, len(p))) < p).T)
+    # a degenerate draw, a single sample included: exact value, no error
+    if np.ptp(costs) == 0.0:
         return ExpectedCost(value=float(costs[0]), method=MONTE_CARLO, stderr=0.0)
     mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    stderr = float(costs.std(ddof=1) / np.sqrt(samples))
     return ExpectedCost(value=mean, method=MONTE_CARLO, stderr=stderr)
 
 

@@ -170,6 +170,28 @@ class TestEvaluateCommand:
         b = run_cli(*args)
         assert a.stdout == b.stdout and a.returncode == 0
 
+    # SHA-256 of `evaluate` stdout, recorded before the scenario evaluators
+    # scored position-major scenarios through a step table: it must not
+    # change any output.
+    @pytest.mark.parametrize(
+        "inst, order, extra, digest",
+        [(gen_random_simplified(18, seed=0), [(i, "+") for i in range(18)], ["--method", "enum"],
+          "1fe5540cc50241dd0f66f94d1a2403f7da2b8abfb913543ad05ebfd23cf77f06"),
+         (gen_random_simplified(12, seed=1, metric=True), [(5 * i % 12, "-+"[i % 2 == 0]) for i in range(12)],
+          ["--method", "enum"], "20011dc7c2a82c91f66c3387e9843415fd2433d7565aa9158e489039974c0c2f"),
+         (gen_random_simplified(150, seed=2), [(i, "+") for i in range(150)],
+          ["--method", "mc", "--samples", "5000", "--seed", "7"],
+          "e832f546fe4917f14c43ab5825e05737b0b17c7327d7c4b02c0201dccd760fc8")],
+        ids=["enum-random-18", "enum-metric-12", "mc-random-150"],
+    )
+    def test_scenario_stdout_bytes(self, tmp_path, capsys, inst, order, extra, digest):
+        path = tmp_path / "s.json"
+        serialize.save(inst, path)
+        spec = ",".join("%d%s" % step for step in order)
+        assert cli.main(["evaluate", str(path), spec, *extra]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSolveCommand:
     def test_exact_beats_heuristic(self, tmp_path):

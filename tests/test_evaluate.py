@@ -15,6 +15,7 @@ from setp.evaluate import (
     expected_cost_original,
     expected_cost_original_direct,
     _oriented_rows,
+    _step_table,
     scenario_costs,
     scenario_matrix,
     weighted_tour_costs,
@@ -60,6 +61,20 @@ def walk_cost(D, R, order, served):
     return total
 
 
+def reference_scenario_costs(D, a, b, served):
+    """Row-major scenario costs, as `scenario_costs` computed them before its
+    step table: `served` is (rows, n), and each row's terms are summed in
+    position order, which the step-table version must reproduce bit for bit."""
+    served = np.atleast_2d(served)
+    n = served.shape[1]
+    pos = np.arange(n)
+    # first served position at or after each position, n if there is none
+    nxt = np.minimum.accumulate(np.where(served, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    succ = np.roll(nxt, -1, axis=1)
+    succ = np.minimum(np.where(succ < n, succ, nxt[:, :1]), n - 1)
+    return np.where(served, D[a, b] + D[b, a[succ]], 0.0).sum(axis=1)
+
+
 @st.composite
 def instance_and_order(draw, max_n=12):
     n = draw(st.integers(1, max_n))
@@ -81,10 +96,36 @@ class TestScenarioCosts:
         rows += data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6))
         served = np.array(rows, dtype=bool)  # by edge id
         a, b, _ = _oriented_rows(inst, order.sequence, order.orient)
-        got = scenario_costs(inst.D, a, b, served[:, list(order.sequence)])
+        got = scenario_costs(_step_table(inst.D, a, b), served[:, list(order.sequence)].T)
         want = [walk_cost(inst.D, inst.R, order, row) for row in rows]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert got[0] == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=instance_and_order(max_n=40), data=st.data())
+    def test_bit_equal_to_row_major_reference(self, case, data):
+        inst, order = case
+        n = inst.n
+        kinds = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, None]), min_size=n, max_size=n))
+        p = np.array([q if k is None else k for k, q in zip(kinds, inst.p)])
+        inst = SimplifiedInstance(D=inst.D, R=inst.R, p=p)
+        a, b, q = _oriented_rows(inst, order.sequence, order.orient)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        served = np.vstack([np.zeros(n, bool), np.eye(n, dtype=bool)[data.draw(st.integers(0, n - 1))],
+                            np.ones(n, bool), rng.random((data.draw(st.integers(0, 50)), n)) < q])
+        want = reference_scenario_costs(inst.D, a, b, served)
+        assert np.array_equal(scenario_costs(_step_table(inst.D, a, b), np.ascontiguousarray(served.T)), want)
+        # Monte Carlo in blocks of any size: the mean of the reference costs of
+        # its whole draw, bit for bit
+        samples, seed = data.draw(st.integers(1, 300)), data.draw(st.integers(0, 2**16))
+        draw = reference_scenario_costs(inst.D, a, b, np.random.default_rng(seed).random((samples, n)) < q)
+        cells = data.draw(st.sampled_from([1, 5 * n, 64 * n, evaluate.BATCH_CELLS]))
+        with mock.patch.object(evaluate, "BATCH_CELLS", cells):
+            mc = expected_cost_monte_carlo(order, inst, samples=samples, seed=seed)
+        if np.ptp(draw) == 0.0:
+            assert (mc.value, mc.stderr) == (draw[0], 0.0)
+        else:
+            assert (mc.value, mc.stderr) == (float(draw.mean()), float(draw.std(ddof=1) / np.sqrt(samples)))
 
     @settings(max_examples=100, deadline=None)
     @given(case=instance_and_order(), data=st.data())
@@ -259,6 +300,14 @@ class TestMonteCarlo:
         r0 = expected_cost_monte_carlo(order, zeros, samples=100, seed=1)
         assert (r0.value, r0.stderr) == (0.0, 0.0)
 
+    def test_single_sample_has_no_stderr(self):
+        inst = gen_random_simplified(9, seed=6)
+        order = random_order(9, 6)
+        a, b, p = _oriented_rows(inst, order.sequence, order.orient)
+        drawn = np.random.default_rng(3).random((1, 9)) < p
+        mc = expected_cost_monte_carlo(order, inst, samples=1, seed=3)
+        assert (mc.value, mc.stderr) == (reference_scenario_costs(inst.D, a, b, drawn)[0], 0.0)
+
     def test_seed_reproducible(self):
         inst = gen_random_simplified(6, seed=8)
         order = random_order(6, 8)
@@ -357,9 +406,15 @@ def test_no_kernel_call_exceeds_the_bound(monkeypatch, method, cells):
             return costs
         return counted
 
+    scenarios = evaluate.scenario_costs
+
+    def spied_scenario_costs(step, served):
+        sizes.append(served.size)
+        return scenarios(step, served)
+
     weighted = spy(evaluate.weighted_tour_costs)
     monkeypatch.setattr(evaluate, "BATCH_CELLS", cells)
-    monkeypatch.setattr(evaluate, "scenario_costs", spy(evaluate.scenario_costs))
+    monkeypatch.setattr(evaluate, "scenario_costs", spied_scenario_costs)
     monkeypatch.setattr(evaluate, "weighted_tour_costs", weighted)
     monkeypatch.setattr(solvers, "weighted_tour_costs", weighted)  # solvers' own reference
     monkeypatch.setattr(solvers, "_orientation_costs", spied_orientation_costs)  # brute force's per-block scorer
