@@ -9,6 +9,7 @@ byte-reproducible on stdout.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 
@@ -187,24 +188,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# The keyword each suite takes for --seeds and --size; an unset option
-# leaves the suite's own default.
-SUITE_OPTIONS = {
-    "oracle": {"seeds": "seeds", "size": "size"},
-    "equivalence": {"seeds": "instances"},
-    "reduction": {"seeds": "instances", "size": "m_high"},
-    "bijection": {"size": "m_max"},
-    "eulerian-contrast": {},
-}
-
-
 def cmd_verify(args) -> int:
-    for opt in ("seeds", "size"):
-        if getattr(args, opt) is not None and opt not in SUITE_OPTIONS[args.suite]:
+    suite = verify.SUITES[args.suite]
+    kwargs = {opt: getattr(args, opt) for opt in ("seeds", "size") if getattr(args, opt) is not None}
+    for opt in kwargs:
+        if opt not in inspect.signature(suite).parameters:
             raise ValueError("suite %s takes no --%s" % (args.suite, opt))
-    options = SUITE_OPTIONS[args.suite].items()
-    kwargs = {kw: getattr(args, opt) for opt, kw in options if getattr(args, opt) is not None}
-    ok, lines = verify.SUITES[args.suite](**kwargs)
+    ok, lines = suite(**kwargs)
     print("suite=%s" % args.suite)
     for line in lines:
         print(line)

@@ -216,7 +216,8 @@ def validate_tsp(inst) -> list[str]:
 def validate_simplified(inst: SimplifiedInstance) -> list[str]:
     """Check all SimplifiedInstance invariants; return one message per violation."""
     D = inst.D
-    violations = matrix_violations(D, "distance")
+    violations = [] if inst.n else ["required edge set is empty"]
+    violations += matrix_violations(D, "distance")
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         return violations
     size = D.shape[0]

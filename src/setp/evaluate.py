@@ -61,6 +61,8 @@ def _oriented_rows(inst: SimplifiedInstance, seqs, orients):
 
 def _order_rows(order: AprioriOrder, inst: SimplifiedInstance):
     """`_oriented_rows` of one order, after checking it against the instance."""
+    if inst.n == 0:
+        raise ValueError("instance has no required edges")
     if order.n != inst.n:
         raise ValueError("order size %d != instance |R| = %d" % (order.n, inst.n))
     if sorted(order.sequence) != list(range(inst.n)):
@@ -184,7 +186,8 @@ def expected_cost_enumeration(
     costs = np.empty(1 << n)
     for s in _blocks(1 << n, n):
         costs[s] = scenario_costs(step, _scenario_bits(n, s.start, s.stop))
-    return ExpectedCost(value=float(probs @ costs), method=ENUMERATION)
+    # numpy's pairwise sum: its order, unlike a BLAS dot's, does not depend on the CPU or thread count
+    return ExpectedCost(value=float((probs * costs).sum()), method=ENUMERATION)
 
 
 def expected_cost_monte_carlo(

@@ -80,14 +80,14 @@ def hierholzer(g: Multigraph, start: int) -> EulerianTour:
     return EulerianTour(tuple(out))
 
 
-def all_eulerian_tours(g: Multigraph, start: int, max_edges: int = 12):
+def all_eulerian_tours(g: Multigraph, start: int):
     """Yield every Eulerian tour of `g` starting and ending at `start`.
 
-    Exhaustive DFS; guarded to small graphs.
+    Exhaustive DFS; guarded to graphs of at most 12 edges.
     """
     m = len(g.edges)
-    if m > max_edges:
-        raise ValueError("tour enumeration limited to %d edges, got %d" % (max_edges, m))
+    if m > 12:
+        raise ValueError("tour enumeration limited to 12 edges, got %d" % m)
     if not is_eulerian(g):
         raise ValueError("graph is not Eulerian")
     used = [False] * m

@@ -149,25 +149,21 @@ def nearest_neighbor(inst: SimplifiedInstance, start_edge: int = 0) -> AprioriOr
     n = inst.n
     if not 0 <= start_edge < n:
         raise ValueError("start_edge out of range")
-    D = inst.D
+    ends = np.asarray(inst.R)
+    free = np.ones(n, dtype=bool)
+    free[start_edge] = False
     seq = [start_edge]
     orient = [0]
-    head = inst.R[start_edge][1]
-    remaining = [i for i in range(n) if i != start_edge]
-    while remaining:
-        best = None
-        for i in remaining:
-            u, v = inst.R[i]
-            for o, tail in ((0, u), (1, v)):
-                key = (D[head, tail], i, o)
-                if best is None or key < best:
-                    best = key
-        _, i, o = best
-        remaining.remove(i)
+    head = ends[start_edge, 1]
+    for _ in range(n - 1):
+        left = np.flatnonzero(free)
+        # (edge, orientation) rows in index order: the first minimum breaks ties as (D, i, o)
+        k, o = divmod(int(np.argmin(inst.D[head, ends[left]])), 2)
+        i = int(left[k])
+        free[i] = False
         seq.append(i)
         orient.append(o)
-        u, v = inst.R[i]
-        head = u if o else v
+        head = ends[i, 1 - o]
     return canonicalize(AprioriOrder(tuple(seq), tuple(orient)))
 
 
@@ -305,12 +301,9 @@ def brute_force_tsp(C: np.ndarray) -> tuple[tuple[int, ...], float]:
     m = C.shape[0]
     if m > 10:
         raise ValueError("TSP enumeration limited to 10 cities, got %d" % m)
-    best_cost = np.inf
-    best_tour = None
-    for rest in itertools.permutations(range(1, m)):
-        tour = (0,) + rest
-        cost = sum(C[tour[i], tour[(i + 1) % m]] for i in range(m))
-        if cost < best_cost or (cost == best_cost and tour < best_tour):
-            best_cost = cost
-            best_tour = tour
-    return best_tour, float(best_cost)
+    tours = np.array([(0,) + rest for rest in itertools.permutations(range(1, m))])
+    costs = np.zeros(len(tours))
+    for i in range(m):  # the additions of sum() over the tour's edges, in the same order
+        costs += C[tours[:, i], tours[:, (i + 1) % m]]
+    best = int(np.argmin(costs))  # rows in lexicographic order: the first minimum is the smallest tour
+    return tuple(int(c) for c in tours[best]), float(costs[best])

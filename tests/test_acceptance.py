@@ -46,26 +46,26 @@ def test_1_oracle_equivalence():
 def test_2_formulation_equivalence():
     """Direct original-form evaluation equals the simplified composition for
     every Eulerian tour of 50 small random instances."""
-    ok, lines = verify.equivalence_suite(instances=50, max_edges=8)
+    ok, lines = verify.equivalence_suite(seeds=50)
     report("formulation-equiv", ok, " ".join(lines))
 
 
 def test_3_tsp_reduction():
     """SETP optimum = TSP optimum + m*epsilon, and the lifted optimal order
     is a TSP-optimal tour, 50 instances with m in 4..8."""
-    ok, lines = verify.reduction_suite(instances=50, m_low=4, m_high=8)
+    ok, lines = verify.reduction_suite(seeds=50, size=8)
     report("tsp-reduction", ok, " ".join(lines))
 
 
 def test_4_bijection():
     """lift(inject(t)) = t for every undirected city tour, m <= 6."""
-    ok, lines = verify.bijection_suite(m_max=6)
+    ok, lines = verify.bijection_suite(size=6)
     report("bijection", ok, " ".join(lines))
 
 
 def test_5_eulerian_contrast():
     """Two Eulerian tours of one graph with expected costs differing > 1e-3."""
-    ok, lines = verify.eulerian_contrast_suite(threshold=1e-3)
+    ok, lines = verify.eulerian_contrast_suite()
     report("eulerian-contrast", ok, " ".join(lines))
 
 

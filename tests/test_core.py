@@ -90,6 +90,12 @@ class TestValidateSimplified:
         inst = SimplifiedInstance(D=D, R=[(0, 1)], p=[0.5])
         assert any("symmetric" in m for m in validate_simplified(inst))
 
+    def test_no_required_edges(self):
+        assert validate_simplified(SimplifiedInstance(np.zeros((0, 0)), [], [])) == ["required edge set is empty"]
+        # a saved empty D reloads with shape (0,): both faults are named
+        msgs = validate_simplified(SimplifiedInstance(np.zeros(0), [], []))
+        assert msgs == ["required edge set is empty", "distance matrix is not square"]
+
 
 def test_simplified_instance_freezes_a_copy():
     D, p = np.zeros((2, 2)), np.full(1, 0.5)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -286,6 +289,26 @@ class TestEnumeration:
         inst = gen_random_simplified(4, seed=0)
         with pytest.raises(ValueError, match="guard"):
             expected_cost_enumeration(random_order(4, 0), inst, max_n=3)
+
+    def test_independent_of_blas_threads(self):
+        # a BLAS dot's summation order follows its thread count; the value must not
+        code = ("from setp import evaluate, transforms; from setp.core import AprioriOrder; "
+                "inst = transforms.gen_random_simplified(18, seed=0); "
+                "print(repr(evaluate.expected_cost_enumeration(AprioriOrder(tuple(range(18)), (0,) * 18), inst).value))")
+        values = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+            values.append(res.stdout)
+        assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("evaluator", [expected_cost_closed_form, expected_cost_enumeration])
+def test_no_required_edges(evaluator):
+    inst = SimplifiedInstance(np.zeros((0, 0)), [], [])
+    with pytest.raises(ValueError, match="no required edges"):
+        evaluator(AprioriOrder((), ()), inst)
 
 
 class TestMonteCarlo:

@@ -75,6 +75,22 @@ class TestNearestNeighbor:
         assert sorted(order.sequence) == list(range(7))
         assert all(o in (0, 1) for o in order.orient)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_loop_reference_with_ties(self, seed):
+        # rounded distances force ties, which go to the smallest (D, edge, orientation)
+        base = gen_random_simplified(9, seed=seed, metric=seed % 2 == 0)
+        inst = SimplifiedInstance(D=np.round(base.D, 1), R=base.R, p=base.p)
+        start = seed % 9
+        seq, orient, head = [start], [0], inst.R[start][1]
+        remaining = [i for i in range(9) if i != start]
+        while remaining:
+            _, i, o = min((inst.D[head, inst.R[i][o]], i, o) for i in remaining for o in (0, 1))
+            remaining.remove(i)
+            seq.append(i)
+            orient.append(o)
+            head = inst.R[i][1 - o]
+        assert nearest_neighbor(inst, start_edge=start) == canonicalize(AprioriOrder(tuple(seq), tuple(orient)))
+
     def test_collinear_chain_is_optimal(self):
         # edges laid end to end on a line: 0-1 at [0,1], 2-3 at [2,3], 4-5 at [4,5]
         pts = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
@@ -331,6 +347,20 @@ class TestBruteForceTsp:
         tour, cost = brute_force_tsp(C)
         assert cost == pytest.approx(3.0)
         assert tour[0] == 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_itertools_reference_with_ties(self, seed):
+        # rounded costs force ties, which go to the lexicographically smallest tour
+        m = 3 + seed % 5
+        C = np.round(gen_random_tsp(m, seed=seed).C, 1 if seed % 2 else 2)
+        best = None
+        for rest in itertools.permutations(range(1, m)):
+            tour = (0,) + rest
+            cost = sum(C[tour[i], tour[(i + 1) % m]] for i in range(m))
+            if best is None or cost < best[1]:
+                best = (tour, cost)
+        tour, cost = brute_force_tsp(C)
+        assert (tour, repr(cost)) == (best[0], repr(float(best[1])))
 
     def test_square(self):
         # 4 points on a unit square: optimum is the perimeter, length 4
