@@ -210,6 +210,18 @@ def expected_cost_monte_carlo(
     return ExpectedCost(value=mean, method=MONTE_CARLO, stderr=stderr)
 
 
+def _composed_costs(inst: OriginalInstance, epsilon: float | None = None):
+    """`expected_cost_original` of one instance as a function of the tour,
+    with the instance simplified once."""
+    simp, _ = transforms.simplify(inst, epsilon=epsilon)
+
+    def score(tour: EulerianTour) -> ExpectedCost:
+        order = transforms.attach_depot_edge(induced_order(tour, inst), inst.n)
+        return expected_cost_closed_form(order, simp)
+
+    return score
+
+
 def expected_cost_original(tour: EulerianTour, inst: OriginalInstance, epsilon: float | None = None) -> ExpectedCost:
     """Expected cost of an Eulerian tour, via the simplified composition.
 
@@ -217,9 +229,40 @@ def expected_cost_original(tour: EulerianTour, inst: OriginalInstance, epsilon: 
     depot edge prepended) and evaluates it in closed form. The depot edge
     contributes at most 2*epsilon to the value.
     """
-    simp, _ = transforms.simplify(inst, epsilon=epsilon)
-    order = transforms.attach_depot_edge(induced_order(tour, inst), inst.n)
-    return expected_cost_closed_form(order, simp)
+    return _composed_costs(inst, epsilon)(tour)
+
+
+def _direct_costs(inst: OriginalInstance):
+    """`expected_cost_original_direct` of one instance as a function of the
+    tour, with its shortest paths computed once."""
+    n = inst.n
+    if n > ENUMERATION_GUARD:
+        raise ValueError("enumeration over 2^%d scenarios exceeds the guard n <= %d" % (n, ENUMERATION_GUARD))
+    g = Multigraph.from_instance(inst)
+    sp = all_pairs_shortest_paths(g, inst.dist).tolist()
+    depot = g.index(inst.depot)
+    p = np.asarray(inst.prob)
+    # the scenarios of positive probability, each with its probability
+    scenarios = [(S, pr) for S in scenario_matrix(n) if (pr := float(np.prod(np.where(S, p, 1.0 - p)))) > 0.0]
+
+    def score(tour: EulerianTour) -> ExpectedCost:
+        order = induced_order(tour, inst)
+        stops = []  # (required index, tail, head, service length) in tour order; vertices as sp indices
+        for k, d in zip(order.sequence, order.orient):
+            tail, head = step_endpoints((inst.required[k], d), inst.edges)
+            stops.append((k, g.index(tail), g.index(head), inst.dist[inst.required[k]]))
+        total = 0.0
+        for S, pr in scenarios:
+            cost, here = 0.0, depot
+            for k, tail, head, length in stops:
+                if S[k]:
+                    cost += sp[here][tail]
+                    cost += length
+                    here = head
+            total += pr * (cost + sp[here][depot])
+        return ExpectedCost(value=total, method=ENUMERATION)
+
+    return score
 
 
 def expected_cost_original_direct(tour: EulerianTour, inst: OriginalInstance) -> ExpectedCost:
@@ -230,27 +273,4 @@ def expected_cost_original_direct(tour: EulerianTour, inst: OriginalInstance) ->
     depot -> first edge, edge -> edge and last edge -> depot via shortest
     paths. Used as the oracle for the simplified composition.
     """
-    n = inst.n
-    if n > ENUMERATION_GUARD:
-        raise ValueError("enumeration over 2^%d scenarios exceeds the guard n <= %d" % (n, ENUMERATION_GUARD))
-    g = Multigraph.from_instance(inst)
-    sp = all_pairs_shortest_paths(g, inst.dist).tolist()
-    order = induced_order(tour, inst)
-    stops = []  # (required index, tail, head, service length) in tour order; vertices as sp indices
-    for k, d in zip(order.sequence, order.orient):
-        tail, head = step_endpoints((inst.required[k], d), inst.edges)
-        stops.append((k, g.index(tail), g.index(head), inst.dist[inst.required[k]]))
-    depot = g.index(inst.depot)
-    p = np.asarray(inst.prob)
-    total = 0.0
-    for S in scenario_matrix(n):
-        pr = float(np.prod(np.where(S, p, 1.0 - p)))
-        if pr > 0.0:
-            cost, here = 0.0, depot
-            for k, tail, head, length in stops:
-                if S[k]:
-                    cost += sp[here][tail]
-                    cost += length
-                    here = head
-            total += pr * (cost + sp[here][depot])
-    return ExpectedCost(value=total, method=ENUMERATION)
+    return _direct_costs(inst)(tour)

@@ -4,7 +4,6 @@ plus a small exact TSP solver used to certify the reduction gadget."""
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -90,38 +89,69 @@ def _rounding_bound(inst: SimplifiedInstance) -> float:
     (12n^3 + 56n^2 + 54n)uM in all, which stays within the bound for n <= 37,
     far past the n at which (n-1)!*2^n candidates can be enumerated. The
     bound scales with D, so a rescaled instance keeps the same candidates.
+
+    Brute force screens one sequence of each mirror pair and lets it stand
+    for the other. With D exactly symmetric, a mirror candidate (the cycle
+    reversed, every orientation flipped) has the same exact cost as its
+    representative, term for term, so their kernel values are two kernel
+    values of one sum and differ by at most 2(8n^2 + 6n)uM <= 28n^2*uM, under
+    a sixteenth of the bound. Brute force therefore widens its window from
+    two bounds to three.
     """
     return inst.n**2 * float(np.abs(inst.D).max()) * 2.0**-44
+
+
+def _permutation_rows(m: int) -> np.ndarray:
+    """The rows (0,) + rest for every permutation `rest` of 1..m-1, in
+    lexicographic order, as an (m-1)! x m int array: the order of
+    `itertools.permutations(range(1, m))`."""
+    perms = np.zeros((1, 0), dtype=int)  # the permutations of range(k), lexicographic, from k = 0
+    for k in range(1, m):
+        # first element f, then the permutations of range(k - 1) with every value >= f raised by one
+        first = np.repeat(np.arange(k), len(perms))[:, None]
+        rest = np.tile(perms, (k, 1))
+        perms = np.hstack([first, rest + (rest >= first)])
+    return np.hstack([np.zeros((len(perms), 1), dtype=int), perms + 1])
 
 
 def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> SolveResult:
     """Global minimum over all canonical cyclic orders and orientations.
 
     Edge 0 is fixed at position 0 (rotation symmetry), leaving
-    (n-1)! * 2^n candidates: every sequence times every orientation. Blocks
-    of sequences are scored over all 2^n orientations by a quadratic form in
-    the orientation bits; only sequences whose minimum comes within twice the
-    rounding bound of the best so far are scored again, over all 2^n
-    orientations, by `weighted_tour_costs`. Exact-cost ties of that kernel are
-    broken by lexicographically smallest (sequence, orient).
+    (n-1)! * 2^n candidates: every sequence times every orientation. D must be
+    symmetric: then a sequence (0, s_1, ..., s_(n-1)) and its mirror
+    (0, s_(n-1), ..., s_1), with every orientation flipped, are one cycle
+    driven both ways at the same cost, and only the representatives with
+    s_1 < s_(n-1) are screened. Blocks of them are scored over all 2^n
+    orientations by a quadratic form in the orientation bits; only
+    representatives whose minimum comes within the window of the best so far
+    are scored again, with their mirrors, over all 2^n orientations by
+    `weighted_tour_costs`. Exact-cost ties of that kernel are broken by
+    lexicographically smallest (sequence, orient).
     """
     n = inst.n
     if n > max_n:
         raise ValueError("brute force over (n-1)!*2^n candidates exceeds the guard n <= %d" % max_n)
     if n == 0:
         raise ValueError("brute force needs at least one required edge")
+    if not np.array_equal(inst.D, inst.D.T):
+        raise ValueError("brute force needs a symmetric distance matrix")
     t0 = time.perf_counter()
-    # position 0 as the high bit: with permutations in lexicographic order, each
-    # block's row-major (sequence, orient) costs come in lexicographic key order
+    # position 0 as the high bit: with sequence rows in lexicographic order, each
+    # kernel call's row-major (sequence, orient) costs come in lexicographic key order
     orients = scenario_matrix(n)[:, ::-1]
-    seqs = np.array([(0,) + rest for rest in itertools.permutations(range(1, n))])
+    seqs = _permutation_rows(n)
+    evaluations = len(seqs) * len(orients)
+    mirror = np.r_[0, n - 1 : 0 : -1]  # columns of the mirror sequence
+    if n >= 3:  # for n <= 2 every sequence is its own mirror
+        seqs = seqs[seqs[:, 1] < seqs[:, -1]]
     score = _orientation_costs(inst, orients)
-    # a sequence holding the exact minimum K scores at most K + bound, and
+    # a representative of a sequence holding the exact minimum K scores at most
+    # K + 2 * bound (its kernel value is within one bound of K), and
     # K <= best + bound for the best score seen so far
-    window = 2.0 * _rounding_bound(inst)
+    window = 3.0 * _rounding_bound(inst)
     best_score = np.inf
-    best_cost = np.inf
-    best_key = None
+    best = (np.inf, (), ())  # (cost, sequence, orient): the smallest tuple wins
     for s in _blocks(len(seqs), n << n):
         block = seqs[s]
         least = score(block).min(axis=1)
@@ -129,16 +159,17 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
         near = block[least <= best_score + window]
         if not len(near):
             continue
-        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, near[:, None], orients))
-        i, o = divmod(int(np.argmin(costs)), len(orients))  # first minimum = smallest key
-        if costs[i, o] < best_cost:  # a later block must be strictly better
-            best_cost = float(costs[i, o])
-            best_key = (tuple(int(x) for x in near[i]), tuple(int(x) for x in orients[o]))
-    order = AprioriOrder(best_key[0], best_key[1])
+        # representatives, then their mirrors: each call within the block's cells,
+        # its rows sorted, so its first minimum is its smallest key
+        for rows in [near, np.unique(near[:, mirror], axis=0)] if n >= 3 else [near]:
+            costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, rows[:, None], orients))
+            i, o = divmod(int(np.argmin(costs)), len(orients))
+            best = min(best, (float(costs[i, o]), tuple(int(x) for x in rows[i]), tuple(int(x) for x in orients[o])))
+    cost, seq, orient = best
     return SolveResult(
-        order=order,
-        cost=ExpectedCost(value=best_cost, method=CLOSED_FORM),
-        evaluations=len(seqs) * len(orients),
+        order=AprioriOrder(seq, orient),
+        cost=ExpectedCost(value=cost, method=CLOSED_FORM),
+        evaluations=evaluations,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -301,7 +332,7 @@ def brute_force_tsp(C: np.ndarray) -> tuple[tuple[int, ...], float]:
     m = C.shape[0]
     if m > 10:
         raise ValueError("TSP enumeration limited to 10 cities, got %d" % m)
-    tours = np.array([(0,) + rest for rest in itertools.permutations(range(1, m))])
+    tours = _permutation_rows(m)
     costs = np.zeros(len(tours))
     for i in range(m):  # the additions of sum() over the tour's edges, in the same order
         costs += C[tours[:, i], tours[:, (i + 1) % m]]

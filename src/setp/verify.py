@@ -59,10 +59,10 @@ def equivalence_suite(seeds: int = 50):
         slack = (inst.n + 1) * epsilon + 1e-9
         count, firsts = _tours_by_order(inst)
         tours += count
+        # each evaluator computes the instance's shortest paths once
+        direct, composed = evaluate._direct_costs(inst), evaluate._composed_costs(inst, epsilon)
         for tour in firsts.values():
-            direct = evaluate.expected_cost_original_direct(tour, inst).value
-            composed = evaluate.expected_cost_original(tour, inst, epsilon=epsilon).value
-            worst = max(worst, abs(direct - composed) / slack)
+            worst = max(worst, abs(direct(tour).value - composed(tour).value) / slack)
     lines = [
         "instances=%d" % done,
         "tours=%d" % tours,
@@ -170,7 +170,8 @@ def eulerian_contrast_suite():
         prob=(0.5, 0.5),
     )
     _, firsts = _tours_by_order(inst)
-    costs = [evaluate.expected_cost_original_direct(tour, inst).value for tour in firsts.values()]
+    direct = evaluate._direct_costs(inst)
+    costs = [direct(tour).value for tour in firsts.values()]
     spread = max(costs) - min(costs)
     threshold = 1e-3
     ok = spread > threshold

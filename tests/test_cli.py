@@ -253,6 +253,30 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # SHA-256 of `solve --exact` stdout, recorded before brute force screened
+    # one sequence of each mirror pair: the halving must not change any output.
+    # The gadget's rounded TSP costs give exact ties, and its optimum is a
+    # mirror sequence (0, 4, ..., 1), not a screened one.
+    @pytest.mark.parametrize(
+        "inst, digest",
+        [(gen_random_simplified(7, seed=3), "d0800a840c059abc3e4c35b97f81ef5d37ba42624b1b68f530381a00d4b67deb"),
+         (gen_random_simplified(9, seed=5, metric=True),
+          "62b5b6f938069fd7bae87b40b1ead1ca90b071bc820ba7c01bd8dad585dff99a"),
+         (TspInstance(np.round(gen_random_tsp(7, seed=3).C, 1)),
+          "0f1bf681b6824b283c4fa54d2050063f8bc1d06e075d1320234b78a4ca6ae086")],
+        ids=["random-7", "metric-9", "gadget-7"],
+    )
+    def test_exact_stdout_bytes(self, tmp_path, capsys, inst, digest):
+        path = tmp_path / "s.json"
+        serialize.save(inst, path)
+        if isinstance(inst, TspInstance):
+            assert cli.main(["reduce", str(path), "--from", "tsp", "-o", str(tmp_path / "g.json")]) == 0
+            path = tmp_path / "g.json"
+            capsys.readouterr()
+        assert cli.main(["solve", "--exact", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_heuristic_reports_stop_and_sweeps(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         serialize.save(gen_random_simplified(8, seed=4), path)

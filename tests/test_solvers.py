@@ -259,6 +259,45 @@ def test_local_search_rejects_asymmetric_distances():
         local_search(asym, nearest_neighbor(asym))
 
 
+def test_brute_force_rejects_asymmetric_distances():
+    inst = gen_random_simplified(5, seed=3)
+    D = inst.D.copy()
+    D[0, 3] += 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        brute_force(SimplifiedInstance(D=D, R=inst.R, p=inst.p))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_permutation_rows_match_itertools(m):
+    rows = solvers._permutation_rows(m)
+    assert rows.dtype == int
+    assert rows.tolist() == [[0, *rest] for rest in itertools.permutations(range(1, m))]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_brute_force_screens_one_sequence_of_each_mirror_pair(monkeypatch, n):
+    # The screen sees (0, s_1, ..., s_(n-1)) with s_1 < s_(n-1) only, each once;
+    # `evaluations` still counts every candidate.
+    inst = gen_random_simplified(n, seed=n)
+    screened = []
+    orientation_costs = solvers._orientation_costs
+
+    def spied(inst, orients):
+        score = orientation_costs(inst, orients)
+
+        def counted(seqs):
+            screened.extend(map(tuple, seqs.tolist()))
+            return score(seqs)
+        return counted
+
+    monkeypatch.setattr(solvers, "_orientation_costs", spied)
+    res = brute_force(inst)
+    seqs = [(0, *rest) for rest in itertools.permutations(range(1, n))]
+    assert screened == (seqs if n <= 2 else [s for s in seqs if s[1] < s[-1]])
+    assert len(screened) == (1 if n <= 2 else math.factorial(n - 1) // 2)
+    assert res.evaluations == math.factorial(n - 1) * 2**n
+
+
 def reference_brute_force(inst):
     """(cost, sequence, orient) of the best candidate: every order with edge 0
     first, scored alone by the closed form; among exact-cost minima the

@@ -2,9 +2,9 @@ import inspect
 
 import pytest
 
-from setp import evaluate, verify
+from setp import evaluate, transforms, verify
 from setp.core import induced_order
-from setp.graph import Multigraph, all_eulerian_tours
+from setp.graph import Multigraph, all_eulerian_tours, all_pairs_shortest_paths
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
@@ -14,17 +14,39 @@ def test_suite_takes_only_cli_options(name):
 
 
 def test_equivalence_scores_each_induced_order_once(monkeypatch):
+    # The direct evaluator scores each distinct induced order once, and each
+    # evaluator computes an instance's shortest paths once.
     calls = []
-    direct = evaluate.expected_cost_original_direct
+    direct = evaluate._direct_costs
 
-    def spy(tour, inst):
-        calls.append((inst, induced_order(tour, inst)))
-        return direct(tour, inst)
+    def spy(inst):
+        score = direct(inst)
 
-    monkeypatch.setattr(evaluate, "expected_cost_original_direct", spy)
+        def scored(tour):
+            calls.append((inst, induced_order(tour, inst)))
+            return score(tour)
+        return scored
+
+    paths = []
+
+    def counted(*args, **kwargs):
+        paths.append(args[0])
+        return all_pairs_shortest_paths(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "_direct_costs", spy)
+    monkeypatch.setattr(evaluate, "all_pairs_shortest_paths", counted)
+    monkeypatch.setattr(transforms, "all_pairs_shortest_paths", counted)  # simplify's and the generator's
     ok, lines = verify.equivalence_suite(seeds=5)
     assert ok
-    instances = [inst for inst in map(verify._small_original, range(1, 100)) if inst is not None][:5]
+    suite_calls = len(paths)
+    instances, seed = [], 0
+    while len(instances) < 5:  # the suite's instances, generated again under the same spy
+        seed += 1
+        inst = verify._small_original(seed)
+        if inst is not None:
+            instances.append(inst)
+    generator_calls = len(paths) - suite_calls
+    assert suite_calls - generator_calls <= 2 * len(instances)
     tours = 0
     want = []
     for inst in instances:
