@@ -87,18 +87,30 @@ def _rounding_bound(inst: SimplifiedInstance) -> float:
     (28n^2 + 26n)uM <= 64n^2*uM, an eighth of the bound, for every n. Brute
     force's matrix product adds n^2 terms per candidate, about
     (12n^3 + 56n^2 + 54n)uM in all, which stays within the bound for n <= 37,
-    far past the n at which (n-1)!*2^n candidates can be enumerated. The
-    bound scales with D, so a rescaled instance keeps the same candidates.
-
-    Brute force screens one sequence of each mirror pair and lets it stand
-    for the other. With D exactly symmetric, a mirror candidate (the cycle
-    reversed, every orientation flipped) has the same exact cost as its
-    representative, term for term, so their kernel values are two kernel
-    values of one sum and differ by at most 2(8n^2 + 6n)uM <= 28n^2*uM, under
-    a sixteenth of the bound. Brute force therefore widens its window from
-    two bounds to three.
+    far past the n at which (n-1)!*2^n candidates can be enumerated. Two
+    kernel values of one exact sum differ by at most 2(8n^2 + 6n)uM <=
+    28n^2*uM, under a sixteenth of the bound. The bound scales with D, so a
+    rescaled instance keeps the same candidates.
     """
     return inst.n**2 * float(np.abs(inst.D).max()) * 2.0**-44
+
+
+def _settle(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> np.ndarray:
+    """`weighted_tour_costs` of screened candidates, in calls of at most
+    BATCH_CELLS cells: (k, n) sequences with (k, n) orientations give (k,)
+    costs, (k, 1, n) sequences against (r, n) orientations give (k, r).
+
+    A screen within b = `_rounding_bound` of the kernel puts every candidate of
+    least kernel value K at or below K + b, and none below K - b. So local
+    search's window, 2b over the least estimate, holds every move that ties K.
+    Brute force screens one of each mirror pair, two kernel values of one exact
+    sum (within b/16), so its window is 3b over the least screen of all.
+    """
+    orients = np.broadcast_to(orients, np.broadcast_shapes(seqs.shape, orients.shape))
+    costs = np.empty(orients.shape[:-1])
+    for s in _blocks(len(seqs), np.prod(orients.shape[1:])):
+        costs[s] = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[s], orients[s]))
+    return costs
 
 
 def _permutation_rows(m: int) -> np.ndarray:
@@ -122,12 +134,11 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     symmetric: then a sequence (0, s_1, ..., s_(n-1)) and its mirror
     (0, s_(n-1), ..., s_1), with every orientation flipped, are one cycle
     driven both ways at the same cost, and only the representatives with
-    s_1 < s_(n-1) are screened. Blocks of them are scored over all 2^n
-    orientations by a quadratic form in the orientation bits; only
-    representatives whose minimum comes within the window of the best so far
-    are scored again, with their mirrors, over all 2^n orientations by
-    `weighted_tour_costs`. Exact-cost ties of that kernel are broken by
-    lexicographically smallest (sequence, orient).
+    s_1 < s_(n-1) are screened, in blocks, over all 2^n orientations at once
+    by a quadratic form in the orientation bits. Then the representatives
+    whose minimum comes within `_settle`'s window of the least screen, and
+    their mirrors, are scored again by `weighted_tour_costs`. Exact-cost ties
+    of that kernel are broken by lexicographically smallest (sequence, orient).
     """
     n = inst.n
     if n > max_n:
@@ -137,8 +148,8 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     if not np.array_equal(inst.D, inst.D.T):
         raise ValueError("brute force needs a symmetric distance matrix")
     t0 = time.perf_counter()
-    # position 0 as the high bit: with sequence rows in lexicographic order, each
-    # kernel call's row-major (sequence, orient) costs come in lexicographic key order
+    # position 0 as the high bit: for sequence rows in lexicographic order, the
+    # row-major (sequence, orient) costs come in lexicographic key order
     orients = scenario_matrix(n)[:, ::-1]
     seqs = _permutation_rows(n)
     evaluations = len(seqs) * len(orients)
@@ -146,26 +157,16 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     if n >= 3:  # for n <= 2 every sequence is its own mirror
         seqs = seqs[seqs[:, 1] < seqs[:, -1]]
     score = _orientation_costs(inst, orients)
-    # a representative of a sequence holding the exact minimum K scores at most
-    # K + 2 * bound (its kernel value is within one bound of K), and
-    # K <= best + bound for the best score seen so far
-    window = 3.0 * _rounding_bound(inst)
-    best_score = np.inf
-    best = (np.inf, (), ())  # (cost, sequence, orient): the smallest tuple wins
-    for s in _blocks(len(seqs), n << n):
-        block = seqs[s]
-        least = score(block).min(axis=1)
-        best_score = min(best_score, float(least.min()))
-        near = block[least <= best_score + window]
-        if not len(near):
-            continue
-        # representatives, then their mirrors: each call within the block's cells,
-        # its rows sorted, so its first minimum is its smallest key
-        for rows in [near, np.unique(near[:, mirror], axis=0)] if n >= 3 else [near]:
-            costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, rows[:, None], orients))
-            i, o = divmod(int(np.argmin(costs)), len(orients))
-            best = min(best, (float(costs[i, o]), tuple(int(x) for x in rows[i]), tuple(int(x) for x in orients[o])))
-    cost, seq, orient = best
+    least = np.concatenate([score(seqs[s]).min(axis=1) for s in _blocks(len(seqs), n << n)])
+    near = seqs[least <= least.min() + 3.0 * _rounding_bound(inst)]
+
+    def least_key(rows):  # (cost, sequence, orient) of sorted rows: their first minimum is their smallest key
+        costs = _settle(inst, rows[:, None], orients)
+        i, o = divmod(int(np.argmin(costs)), len(orients))
+        return float(costs[i, o]), tuple(int(x) for x in rows[i]), tuple(int(x) for x in orients[o])
+
+    # representatives, then their sorted mirrors, one cost array at a time; the smallest tuple wins
+    cost, seq, orient = min(map(least_key, [near, np.unique(near[:, mirror], axis=0)] if n >= 3 else [near]))
     return SolveResult(
         order=AprioriOrder(seq, orient),
         cost=ExpectedCost(value=cost, method=CLOSED_FORM),
@@ -272,9 +273,9 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     lexicographic order (except (0, n-1), which only relabels the cycle), and
     moves to the first neighbor of least cost if it is strictly better. Each
     move counts as one cost evaluation. The moves are screened by
-    `_reversal_deltas`; only those whose estimate comes within twice the
-    rounding bound of the least are scored by `weighted_tour_costs`. That
-    window holds every move tying the kernel's minimum, so order, cost and
+    `_reversal_deltas`; only those within twice the rounding bound of the
+    least estimate are scored by `weighted_tour_costs`, a window that holds
+    every move tying the kernel's minimum (see `_settle`). So order, cost and
     evaluations are those of scoring every neighbor with the kernel.
     Stops at a local optimum or when `budget` cost evaluations are spent.
     Never returns a cost worse than the initial solution. D must be symmetric.
@@ -300,9 +301,7 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
         delta = _reversal_deltas(inst, seq, orient, move_i[:k], move_j[:k])
         near = np.flatnonzero(delta <= delta.min() + window)
         s2, o2 = _moved(seq, orient, move_i[near], move_j[near])
-        costs = np.empty(len(near))
-        for s in _blocks(len(near), n):  # all moves when all tie, as with p = 0
-            costs[s] = weighted_tour_costs(inst.D, *_oriented_rows(inst, s2[s], o2[s]))
+        costs = _settle(inst, s2, o2)  # all moves when all tie, as with p = 0
         evaluations += k
         sweeps += 1
         costs[~(costs < cost)] = np.inf  # only strict improvements compete; NaN never wins

@@ -18,6 +18,8 @@ from .graph import Multigraph, all_eulerian_tours
 
 def oracle_suite(size: int = 10, seeds: int = 50):
     """Closed-form vs exhaustive-enumeration agreement on random instances."""
+    if not 1 <= size <= evaluate.ENUMERATION_GUARD:
+        raise ValueError("size=%d is outside 1..%d (the enumeration guard)" % (size, evaluate.ENUMERATION_GUARD))
     tol = 1e-9
     worst = 0.0
     agree = 0
@@ -137,14 +139,12 @@ def bijection_suite(size: int = 6):
     checked = 0
     ok = True
     for m in range(3, size + 1):
-        seen = set()
+        vmap = {x: x // 2 for x in range(2 * m)}
         for rest in itertools.permutations(range(1, m)):
-            tour = transforms.canonical_city_tour((0,) + rest)
-            if tour in seen:
+            if rest[0] > rest[-1]:  # each tour once, canonical: from city 0 toward its smaller neighbor
                 continue
-            seen.add(tour)
+            tour = (0,) + rest
             order = transforms.inject_tsp_tour(tour, m)
-            vmap = {x: x // 2 for x in range(2 * m)}
             back = transforms.canonical_city_tour(transforms.lift_to_tsp_tour(order, vmap))
             checked += 1
             if back != tour:

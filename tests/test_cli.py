@@ -389,6 +389,13 @@ class TestVerifyCommand:
         assert res.returncode == 2
         assert "error=" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("size", ["0", "21"])
+    def test_oracle_size_out_of_range_usage_error(self, size):
+        # 0 checks nothing; 21 is one past the enumeration guard
+        res = run_cli("verify", "--suite", "oracle", "--size", size, "--seeds", "1")
+        assert res.returncode == 2
+        assert "error=" in res.stderr and "Traceback" not in res.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [

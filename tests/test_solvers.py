@@ -298,6 +298,39 @@ def test_brute_force_screens_one_sequence_of_each_mirror_pair(monkeypatch, n):
     assert res.evaluations == math.factorial(n - 1) * 2**n
 
 
+@pytest.mark.parametrize("seq_rows", [None, 8])
+@pytest.mark.parametrize("seed, served", [(seed, True) for seed in range(10)] + [(0, False)])
+def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, served, seq_rows):
+    # The kernel re-scores the representatives whose screen comes within the
+    # window of the least screen over all representatives, then their sorted
+    # mirrors, however the screen is split into blocks. With nothing served
+    # every candidate costs 0 and all sequences are re-scored.
+    n = 7
+    inst = gen_random_simplified(n, seed=seed, metric=seed % 2 == 0)
+    if not served:
+        inst = SimplifiedInstance(D=inst.D, R=inst.R, p=np.zeros(n))
+    orients = evaluate.scenario_matrix(n)[:, ::-1]
+    reps = solvers._permutation_rows(n)
+    reps = reps[reps[:, 1] < reps[:, -1]]
+    least = solvers._orientation_costs(inst, orients)(reps).min(axis=1)
+    near = reps[least <= least.min() + 3.0 * solvers._rounding_bound(inst)]
+    mirrors = np.unique(near[:, [0, *range(n - 1, 0, -1)]], axis=0)
+    settled = []
+    kernel = solvers.weighted_tour_costs
+
+    def spied(D, a, b, W):
+        settled.extend((a[:, 0] // 2).tolist())  # tail vertex -> edge: R pairs 2i with 2i + 1
+        return kernel(D, a, b, W)
+
+    monkeypatch.setattr(solvers, "weighted_tour_costs", spied)
+    if seq_rows is not None:
+        monkeypatch.setattr(evaluate, "BATCH_CELLS", seq_rows * (n << n))
+    res = brute_force(inst)
+    assert settled == near.tolist() + mirrors.tolist()
+    assert served or len(near) == len(reps)
+    assert res.evaluations == math.factorial(n - 1) * 2**n
+
+
 def reference_brute_force(inst):
     """(cost, sequence, orient) of the best candidate: every order with edge 0
     first, scored alone by the closed form; among exact-cost minima the

@@ -13,6 +13,16 @@ def test_suite_takes_only_cli_options(name):
     assert set(inspect.signature(verify.SUITES[name]).parameters) <= {"seeds", "size"}
 
 
+def test_oracle_checks_size_before_generating(monkeypatch):
+    # A size past the enumeration guard is refused before its D (2n x 2n floats) is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("instance generated before the size check")
+
+    monkeypatch.setattr(transforms, "gen_random_simplified", refuse)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        verify.oracle_suite(size=evaluate.ENUMERATION_GUARD + 1)
+
+
 def test_equivalence_scores_each_induced_order_once(monkeypatch):
     # The direct evaluator scores each distinct induced order once, and each
     # evaluator computes an instance's shortest paths once.
