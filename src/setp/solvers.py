@@ -14,6 +14,7 @@ from .evaluate import CLOSED_FORM, ExpectedCost, _blocks, _oriented_rows, expect
 from .evaluate import scenario_matrix, weighted_tour_costs
 
 BRUTE_FORCE_GUARD = 9
+TSP_GUARD = 10  # cities of brute_force_tsp, and of verify's bijection suite
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,11 @@ def _rounding_bound(inst: SimplifiedInstance) -> float:
     return inst.n**2 * float(np.abs(inst.D).max()) * 2.0**-44
 
 
-def _settle(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> np.ndarray:
-    """`weighted_tour_costs` of screened candidates, in calls of at most
-    BATCH_CELLS cells: (k, n) sequences with (k, n) orientations give (k,)
-    costs, (k, 1, n) sequences against (r, n) orientations give (k, r).
+def _least(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> tuple[float, int]:
+    """First least `weighted_tour_costs` value of screened candidates and its
+    row-major index, in calls of at most BATCH_CELLS cells: (k, n) sequences
+    with (k, n) orientations, or (k, 1, n) against (r, n). A NaN never wins; a
+    set with no value below inf, an empty one included, raises ValueError.
 
     A screen within b = `_rounding_bound` of the kernel puts every candidate of
     least kernel value K at or below K + b, and none below K - b. So local
@@ -107,10 +109,15 @@ def _settle(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> 
     sum (within b/16), so its window is 3b over the least screen of all.
     """
     orients = np.broadcast_to(orients, np.broadcast_shapes(seqs.shape, orients.shape))
-    costs = np.empty(orients.shape[:-1])
+    cost, index = np.inf, -1
     for s in _blocks(len(seqs), np.prod(orients.shape[1:])):
-        costs[s] = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[s], orients[s]))
-    return costs
+        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[s], orients[s])).ravel()
+        i = int(np.argmin(np.where(costs < cost, costs, np.inf)))  # earlier ties and NaN lose
+        if costs[i] < cost:
+            cost, index = float(costs[i]), s.start * costs.size // (s.stop - s.start) + i
+    if index < 0:
+        raise ValueError("no candidate has a cost below inf")
+    return cost, index
 
 
 def _permutation_rows(m: int) -> np.ndarray:
@@ -136,7 +143,7 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     driven both ways at the same cost, and only the representatives with
     s_1 < s_(n-1) are screened, in blocks, over all 2^n orientations at once
     by a quadratic form in the orientation bits. Then the representatives
-    whose minimum comes within `_settle`'s window of the least screen, and
+    whose minimum comes within `_least`'s window of the least screen, and
     their mirrors, are scored again by `weighted_tour_costs`. Exact-cost ties
     of that kernel are broken by lexicographically smallest (sequence, orient).
     """
@@ -148,8 +155,7 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     if not np.array_equal(inst.D, inst.D.T):
         raise ValueError("brute force needs a symmetric distance matrix")
     t0 = time.perf_counter()
-    # position 0 as the high bit: for sequence rows in lexicographic order, the
-    # row-major (sequence, orient) costs come in lexicographic key order
+    # position 0 as the high bit: orientation rows in lexicographic order
     orients = scenario_matrix(n)[:, ::-1]
     seqs = _permutation_rows(n)
     evaluations = len(seqs) * len(orients)
@@ -159,16 +165,12 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     score = _orientation_costs(inst, orients)
     least = np.concatenate([score(seqs[s]).min(axis=1) for s in _blocks(len(seqs), n << n)])
     near = seqs[least <= least.min() + 3.0 * _rounding_bound(inst)]
-
-    def least_key(rows):  # (cost, sequence, orient) of sorted rows: their first minimum is their smallest key
-        costs = _settle(inst, rows[:, None], orients)
-        i, o = divmod(int(np.argmin(costs)), len(orients))
-        return float(costs[i, o]), tuple(int(x) for x in rows[i]), tuple(int(x) for x in orients[o])
-
-    # representatives, then their sorted mirrors, one cost array at a time; the smallest tuple wins
-    cost, seq, orient = min(map(least_key, [near, np.unique(near[:, mirror], axis=0)] if n >= 3 else [near]))
+    # near representatives and their mirrors, sorted: the first least is the smallest (cost, sequence, orient)
+    rows = np.unique(np.concatenate([near, near[:, mirror]]), axis=0)
+    cost, index = _least(inst, rows[:, None], orients)
+    i, o = divmod(index, len(orients))
     return SolveResult(
-        order=AprioriOrder(seq, orient),
+        order=AprioriOrder(tuple(int(x) for x in rows[i]), tuple(int(x) for x in orients[o])),
         cost=ExpectedCost(value=cost, method=CLOSED_FORM),
         evaluations=evaluations,
         wall_time=time.perf_counter() - t0,
@@ -275,7 +277,7 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     move counts as one cost evaluation. The moves are screened by
     `_reversal_deltas`; only those within twice the rounding bound of the
     least estimate are scored by `weighted_tour_costs`, a window that holds
-    every move tying the kernel's minimum (see `_settle`). So order, cost and
+    every move tying the kernel's minimum (see `_least`). So order, cost and
     evaluations are those of scoring every neighbor with the kernel.
     Stops at a local optimum or when `budget` cost evaluations are spent.
     Never returns a cost worse than the initial solution. D must be symmetric.
@@ -301,12 +303,10 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
         delta = _reversal_deltas(inst, seq, orient, move_i[:k], move_j[:k])
         near = np.flatnonzero(delta <= delta.min() + window)
         s2, o2 = _moved(seq, orient, move_i[near], move_j[near])
-        costs = _settle(inst, s2, o2)  # all moves when all tie, as with p = 0
+        least, best = _least(inst, s2, o2)  # all moves when all tie, as with p = 0
         evaluations += k
         sweeps += 1
-        costs[~(costs < cost)] = np.inf  # only strict improvements compete; NaN never wins
-        best = int(np.argmin(costs))
-        if not costs[best] < cost:
+        if not least < cost:  # the first least is the first strict minimum when it improves
             if k == len(move_i):
                 stop = "local_optimum"
             break
@@ -329,8 +329,8 @@ def brute_force_tsp(C: np.ndarray) -> tuple[tuple[int, ...], float]:
     """
     C = np.asarray(C, dtype=float)
     m = C.shape[0]
-    if m > 10:
-        raise ValueError("TSP enumeration limited to 10 cities, got %d" % m)
+    if m > TSP_GUARD:
+        raise ValueError("TSP enumeration limited to %d cities, got %d" % (TSP_GUARD, m))
     tours = _permutation_rows(m)
     costs = np.zeros(len(tours))
     for i in range(m):  # the additions of sum() over the tour's edges, in the same order

@@ -134,8 +134,8 @@ def reduction_suite(seeds: int = 50, size: int = 8):
 
 def bijection_suite(size: int = 6):
     """lift(inject(tour)) is the identity on all undirected tours of 3..size cities."""
-    if size < 3:
-        raise ValueError("size=%d is below 3, the smallest tour" % size)
+    if not 3 <= size <= solvers.TSP_GUARD:
+        raise ValueError("size=%d is outside 3..%d (the smallest tour to the TSP guard)" % (size, solvers.TSP_GUARD))
     checked = 0
     ok = True
     for m in range(3, size + 1):

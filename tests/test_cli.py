@@ -396,6 +396,12 @@ class TestVerifyCommand:
         assert res.returncode == 2
         assert "error=" in res.stderr and "Traceback" not in res.stderr
 
+    def test_bijection_size_past_the_tsp_guard_usage_error(self):
+        # each city past the guard multiplies the tours to check by about 10
+        res = run_cli("verify", "--suite", "bijection", "--size", "11")
+        assert res.returncode == 2
+        assert "error=" in res.stderr and "Traceback" not in res.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [

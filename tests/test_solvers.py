@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -267,6 +268,18 @@ def test_brute_force_rejects_asymmetric_distances():
         brute_force(SimplifiedInstance(D=D, R=inst.R, p=inst.p))
 
 
+def test_searches_reject_a_nan_probability():
+    # A NaN probability makes every screen NaN, so no candidate is settled.
+    inst = gen_random_simplified(5, seed=3)
+    p = inst.p.copy()
+    p[2] = np.nan
+    nan = SimplifiedInstance(D=inst.D, R=inst.R, p=p)
+    with pytest.raises(ValueError, match="no candidate"):
+        brute_force(nan)
+    with pytest.raises(ValueError, match="no candidate"):
+        local_search(nan, nearest_neighbor(nan))
+
+
 @pytest.mark.parametrize("m", range(1, 10))
 def test_permutation_rows_match_itertools(m):
     rows = solvers._permutation_rows(m)
@@ -302,9 +315,9 @@ def test_brute_force_screens_one_sequence_of_each_mirror_pair(monkeypatch, n):
 @pytest.mark.parametrize("seed, served", [(seed, True) for seed in range(10)] + [(0, False)])
 def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, served, seq_rows):
     # The kernel re-scores the representatives whose screen comes within the
-    # window of the least screen over all representatives, then their sorted
-    # mirrors, however the screen is split into blocks. With nothing served
-    # every candidate costs 0 and all sequences are re-scored.
+    # window of the least screen over all representatives, and their mirrors,
+    # in one sorted pass, however the screen is split into blocks. With nothing
+    # served every candidate costs 0 and all sequences are re-scored.
     n = 7
     inst = gen_random_simplified(n, seed=seed, metric=seed % 2 == 0)
     if not served:
@@ -314,7 +327,7 @@ def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, ser
     reps = reps[reps[:, 1] < reps[:, -1]]
     least = solvers._orientation_costs(inst, orients)(reps).min(axis=1)
     near = reps[least <= least.min() + 3.0 * solvers._rounding_bound(inst)]
-    mirrors = np.unique(near[:, [0, *range(n - 1, 0, -1)]], axis=0)
+    rows = np.unique(np.concatenate([near, near[:, [0, *range(n - 1, 0, -1)]]]), axis=0)
     settled = []
     kernel = solvers.weighted_tour_costs
 
@@ -326,9 +339,30 @@ def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, ser
     if seq_rows is not None:
         monkeypatch.setattr(evaluate, "BATCH_CELLS", seq_rows * (n << n))
     res = brute_force(inst)
-    assert settled == near.tolist() + mirrors.tolist()
+    assert settled == rows.tolist()
     assert served or len(near) == len(reps)
     assert res.evaluations == math.factorial(n - 1) * 2**n
+
+
+def test_brute_force_settles_in_memory_bounded_by_the_batch(monkeypatch):
+    # With nothing served every candidate ties and all of them are settled.
+    # Settling keeps only a running least, so the traced peak stays below the
+    # cost array of the representatives alone, (n-1)!/2 x 2^n floats.
+    n = 7
+    inst = gen_random_simplified(n, seed=0)
+    inst = SimplifiedInstance(D=inst.D, R=inst.R, p=np.zeros(n))
+    monkeypatch.setattr(evaluate, "BATCH_CELLS", n << n)
+    brute_force(gen_random_simplified(3, seed=0))  # a first call's one-off allocations stay untraced
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        res = brute_force(inst)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.cost.value == 0.0
+    assert peak < math.factorial(n - 1) // 2 * 2**n * 8
 
 
 def reference_brute_force(inst):
