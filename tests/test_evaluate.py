@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from setp.evaluate import (
     expected_cost_monte_carlo,
     expected_cost_original,
     expected_cost_original_direct,
+    _enumerated_scenarios,
     _oriented_rows,
     _step_table,
     scenario_costs,
@@ -130,6 +132,34 @@ class TestScenarioCosts:
         else:
             assert (mc.value, mc.stderr) == (float(draw.mean()), float(draw.std(ddof=1) / np.sqrt(samples)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(case=instance_and_order(), data=st.data())
+    def test_doubling_matches_scenario_costs(self, case, data):
+        inst, order = case
+        n = inst.n
+        kinds = data.draw(st.lists(st.sampled_from([0.0, 1.0, None]), min_size=n, max_size=n))
+        p = np.array([q if k is None else k for k, q in zip(kinds, inst.p)])
+        D = np.round(inst.D, 1) if data.draw(st.booleans()) else inst.D  # rounded: many equal steps
+        inst = SimplifiedInstance(D=D, R=inst.R, p=p)
+        a, b, q = _oriented_rows(inst, order.sequence, order.orient)
+        step = _step_table(inst.D, a, b)
+        probs, costs = _enumerated_scenarios(step, q)
+        want = scenario_costs(step, scenario_matrix(n).T)
+        # The same at most n nonnegative terms, summed in another order: each
+        # sum is within (n - 1) * eps / 2 of the exact one, relative.
+        assert costs[0] == want[0] == 0.0
+        assert np.all(np.abs(costs - want) <= n * np.finfo(float).eps * want)
+        # the probabilities are the products built up one position at a time, bit for bit
+        ref = np.ones(1)
+        for x in q:
+            ref = np.concatenate([ref * (1.0 - x), ref * x])
+        assert np.array_equal(probs, ref)
+        values = set()
+        for cells in (1, 50, 700, evaluate.BATCH_CELLS):
+            with mock.patch.object(evaluate, "BATCH_CELLS", cells):
+                values.add(expected_cost_enumeration(order, inst).value)
+        assert len(values) == 1
+
     @settings(max_examples=100, deadline=None)
     @given(case=instance_and_order(), data=st.data())
     def test_enumeration_matches_closed_form(self, case, data):
@@ -157,7 +187,7 @@ class TestScenarioCosts:
             raise AssertionError("weighted_tour_costs called")
 
         monkeypatch.setattr(evaluate, "weighted_tour_costs", refuse)
-        monkeypatch.setattr(evaluate, "BATCH_CELLS", 100 * 7)  # several blocks in both evaluators
+        monkeypatch.setattr(evaluate, "BATCH_CELLS", 50)  # several blocks in both evaluators
         en = expected_cost_enumeration(order, inst).value
         assert en == pytest.approx(closed, rel=1e-9)
         mc = expected_cost_monte_carlo(order, inst, samples=3000, seed=5)
@@ -391,7 +421,7 @@ class TestOriginalForm:
 
 
 # Batched evaluators and solvers, with the size of the instance each runs on.
-BATCHED = {"enumeration": 9, "monte_carlo": 30, "brute_force": 5, "local_search": 12}
+BATCHED = {"enumeration": 14, "monte_carlo": 30, "brute_force": 5, "local_search": 12}
 
 
 @pytest.mark.parametrize("cells", [1, 50, 700])
@@ -410,6 +440,21 @@ def test_no_kernel_call_exceeds_the_bound(monkeypatch, method, cells):
         return res.order, res.cost, res.evaluations
 
     want = run()
+    if method == "enumeration":
+        # Enumeration calls no kernel, so its bound is on memory: the 2^n
+        # probabilities and costs (8 bytes each) and first and last positions
+        # (1 byte each), at most 32 bytes of temporaries per cell and a fixed
+        # 16 KiB for the step table and small arrays.
+        monkeypatch.setattr(evaluate, "BATCH_CELLS", cells)
+        tracemalloc.start()
+        try:
+            got = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 18 * (1 << n) + 32 * cells + (16 << 10)
+        return
     sizes = []
 
     def spy(kernel):
