@@ -9,6 +9,7 @@ byte-reproducible on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import sys
@@ -202,6 +203,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="setp", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -114,24 +114,33 @@ def all_pairs_shortest_paths(g: Multigraph, dist, sources=None) -> np.ndarray:
     them by default) to every vertex, one row per source, columns in
     sorted-vertex order.
 
-    `dist` maps edge id to a nonnegative length. Unreachable pairs come out
-    as +inf (impossible for Eulerian inputs).
+    `dist` maps edge id to a nonnegative length; a negative or NaN length
+    raises ValueError. Unreachable pairs come out as +inf (impossible for
+    Eulerian inputs).
     """
+    from scipy.sparse import csr_matrix  # see metric_closure
     k = len(g.vertices)
-    W = np.full((k, k), np.inf)
-    for eid, (u, v) in enumerate(g.edges):
-        d = float(dist[eid])
-        if d < 0:
-            raise ValueError("negative length on edge %d" % eid)
-        i, j = g.index(u), g.index(v)
-        if d < W[i, j]:
-            W[i, j] = W[j, i] = d
-    return metric_closure(W, sources)
+    lengths = np.array([dist[eid] for eid in range(len(g.edges))], dtype=float)
+    bad = np.flatnonzero(~(lengths >= 0))  # NaN fails too
+    if len(bad):
+        raise ValueError("%s length on edge %d" % ("NaN" if np.isnan(lengths[bad[0]]) else "negative", bad[0]))
+    ends = np.searchsorted(g.vertices, np.reshape(g.edges, (-1, 2)))
+    finite = lengths < np.inf
+    # both directions of every finite edge, sorted by (row, column, length)
+    rows, cols = np.concatenate([ends[finite], ends[finite, ::-1]]).T
+    length = np.concatenate([lengths[finite]] * 2)
+    order = np.lexsort((length, cols, rows))
+    rows, cols, length = rows[order], cols[order], length[order]
+    first = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]  # the least of parallel edges
+    indptr = np.r_[0, np.cumsum(np.bincount(rows[first], minlength=k))]
+    return metric_closure(csr_matrix((length[first], cols[first], indptr), shape=(k, k)), sources)
 
 
-def metric_closure(W: np.ndarray, sources=None) -> np.ndarray:
-    """Shortest-path distances of the undirected graph whose dense length
-    matrix is `W`; +inf marks "no edge", so zero-length edges survive.
+def metric_closure(W, sources=None) -> np.ndarray:
+    """Shortest-path distances of the undirected graph with length matrix
+    `W`: a dense array where +inf marks "no edge", so zero-length edges
+    survive, or a scipy sparse matrix whose stored entries, zeros included,
+    are the edges.
 
     Returns the rows of `sources` (any sequence of vertex positions, in any
     order), or the whole closure when it is None. Each row is one Dijkstra
@@ -139,5 +148,7 @@ def metric_closure(W: np.ndarray, sources=None) -> np.ndarray:
     """
     # Imported here: scipy.sparse.csgraph takes about 0.3 s to load, over half
     # of `import setp.cli`, and most commands compute no shortest path.
+    from scipy.sparse import issparse
     from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
-    return shortest_path(csgraph_from_dense(W, null_value=np.inf), method="D", directed=False, indices=sources)
+    G = W if issparse(W) else csgraph_from_dense(W, null_value=np.inf)
+    return shortest_path(G, method="D", directed=False, indices=sources)

@@ -29,42 +29,39 @@ class SolveResult:
 
 def _orientation_costs(inst: SimplifiedInstance, orients: np.ndarray):
     """Scorer of sequence blocks: (k, n) sequences -> (k, len(orients)) costs,
-    the closed form of every (sequence, orientation) up to rounding.
+    the closed form of every (sequence, orientation) up to rounding. Column x
+    holds the edge orientations x: edge e is flipped when x_e is set, so
+    position i of sequence s takes orientation x[s_i].
 
-    For a fixed sequence the closed form's weights do not depend on the
-    orientation bits o; only the distance of each term does. Service and wrap
-    terms depend on o_i alone, and a hop D[b_i, a_j] takes its four values as
-    E00 + dI*o_i + dJ*o_j + dQ*o_i*o_j. So a sequence's costs over all
-    orientations are K + sum_i g_i*o_i + sum_{t>0,i} g_ti*o_i*o_(i+t), one
-    matrix product of its coefficients with the orientations' bit products.
+    In edge terms the closed form (Jaillet's a priori sum) is c(x) +
+    sum_{e != f} H_s(e, f) * D[head_e(x_e), tail_f(x_f)]. The hop weight
+    H_s(e, f) = p_e * p_f * prod(1 - p_g), over the edges g strictly between e
+    and f in s, holds all that depends on the sequence; the service and wrap
+    terms c(x) = sum_e p_e*D[tail_e, head_e] + w_e*D[head_e, tail_e], with
+    w_e = p_e * prod_(g != e)(1 - p_g), depend on no sequence. So the distances
+    M[(e, f), x] and c are built once, and a block's costs are c + H @ M.
     """
     n = inst.n
     u, v = np.asarray(inst.R, dtype=int).T
-    D = inst.D
-    fwd, bwd = D[u, v], D[v, u]
-    # hop from edge e's head to edge f's tail, by (o_e, o_f); last axis E00, dI, dJ, dQ
-    e00, e10, e01, e11 = D[v[:, None], u], D[u[:, None], u], D[v[:, None], v], D[u[:, None], v]
-    hops = np.stack([e00, e10 - e00, e01 - e00, e11 - e10 - e01 + e00], axis=-1)
-    shift = (np.arange(n) + np.arange(n)[:, None]) % n  # shift[t, i] = i + t, cyclic
-    back = (np.arange(n) - np.arange(n)[:, None]) % n  # back[t, j] = j - t, cyclic
+    D, p = inst.D, inst.p
     bits = np.asarray(orients, dtype=bool)
-    # column t*n + i: o_i * o_(i+t); t = 0 is o_i itself
-    products = (bits[:, None, :] & bits[:, shift]).reshape(len(bits), -1).astype(float).T
+    tail, head = np.where(bits, v, u), np.where(bits, u, v)  # (len(orients), n), by edge
+    q = 1.0 - p
+    # products of q before and after each edge; no division, since p = 1 gives q = 0
+    before = np.concatenate([[1.0], np.cumprod(q[:-1])])
+    after = np.concatenate([np.cumprod(q[:0:-1])[::-1], [1.0]])
+    c = (p * D[tail, head] + p * before * after * D[head, tail]).sum(axis=1)
+    M = D[head[:, :, None], tail[:, None, :]].reshape(len(bits), n * n).T  # row e*n + f
+    shift = (np.arange(n) + np.arange(n)[:, None]) % n  # shift[t, i] = i + t, cyclic
 
     def score(seqs: np.ndarray) -> np.ndarray:
         S = seqs[:, shift]  # S[:, t, i]: the edge t positions after position i
-        W = inst.p[S]
-        # run[:, t - 1, i]: probability that nothing strictly between positions i and i + t is served, t = 1..n
-        run = np.concatenate([np.ones_like(W[:, :1]), np.cumprod(1.0 - W[:, 1:], axis=1)], axis=1)
-        hop = W[:, :1] * W[:, 1:] * run[:, :-1]  # shifts t = 1..n-1
-        wrap = W[:, 0] * run[:, -1]
-        e = hops[S[:, :1], S[:, 1:]]
-        const = (W[:, 0] * fwd[seqs] + wrap * bwd[seqs]).sum(axis=-1) + (hop * e[..., 0]).sum(axis=(1, 2))
-        coef = np.empty_like(W)  # coef[:, t, i] multiplies column t*n + i
-        into = (hop * e[..., 2])[:, np.arange(n - 1)[:, None], back[1:]]  # dJ terms, at the position of o_j
-        coef[:, 0] = (W[:, 0] - wrap) * (bwd - fwd)[seqs] + (hop * e[..., 1] + into).sum(axis=1)
-        coef[:, 1:] = hop * e[..., 3]
-        return const[:, None] + coef.reshape(len(seqs), -1) @ products
+        W = p[S]
+        # run[:, t - 1, i]: probability that nothing strictly between positions i and i + t is served
+        run = np.concatenate([np.ones_like(W[:, :1]), np.cumprod(1.0 - W[:, 1:-1], axis=1)], axis=1)
+        H = np.zeros((len(seqs), n, n))
+        H[np.arange(len(seqs))[:, None, None], S[:, :1], S[:, 1:]] = W[:, :1] * W[:, 1:] * run
+        return c + H.reshape(len(seqs), n * n) @ M
 
     return score
 
@@ -75,23 +72,23 @@ def _rounding_bound(inst: SimplifiedInstance) -> float:
     the current cost in local search.
 
     With u = 2^-53 and M = max|D|, every value is a sum of products of
-    probabilities with distances, or with differences of at most four
-    distances. A position's weights total at most 2 (its service weight, then
-    hop and wrap weights that split its own probability), so the absolute
-    terms of one tour total at most 2nM, and at most 12nM in brute force's
-    quadratic form; local search's crossing terms are pair terms of two tours,
-    at most 2nM. A term of the kernel passes through at most 4n + 3 roundings
-    (run products of up to n - 1 factors of 1 - w, then n positions and n
-    shifts summed); a term of the local screen through at most 6n + 7 (two
-    skip products, a cumulative sum over outside positions, a sum over the
-    segment). Two kernel values and one screen thus differ by at most
-    (28n^2 + 26n)uM <= 64n^2*uM, an eighth of the bound, for every n. Brute
-    force's matrix product adds n^2 terms per candidate, about
-    (12n^3 + 56n^2 + 54n)uM in all, which stays within the bound for n <= 37,
-    far past the n at which (n-1)!*2^n candidates can be enumerated. Two
-    kernel values of one exact sum differ by at most 2(8n^2 + 6n)uM <=
-    28n^2*uM, under a sixteenth of the bound. The bound scales with D, so a
-    rescaled instance keeps the same candidates.
+    probabilities with distances. A position's weights total at most 2 (its
+    service weight, then hop and wrap weights that split its own probability),
+    so the absolute terms of one tour total at most 2nM; local search's
+    crossing terms are pair terms of two tours, at most 2nM. A term of the
+    kernel passes through at most 4n + 3 roundings (run products of up to
+    n - 1 factors of 1 - w, then n positions and n shifts summed); a term of
+    the local screen through at most 6n + 7 (two skip products, a cumulative
+    sum over outside positions, a sum over the segment). Two kernel values and
+    one screen thus differ by at most (28n^2 + 26n)uM <= 64n^2*uM, an eighth
+    of the bound, for every n. Brute force's weights are products of at most
+    n factors, and c + H @ M sums n(n - 1) hop terms and 2n service and wrap
+    terms, so a term passes through at most n^2 + 3n + 2 roundings: about
+    2n^3*uM, and (2n^3 + 14n^2 + 10n)uM with the kernel's, within the bound
+    for n <= 248, far past the n at which (n-1)!*2^n candidates can be
+    enumerated. Two kernel values of one exact sum differ by at most
+    2(8n^2 + 6n)uM <= 28n^2*uM, under a sixteenth of the bound. The bound
+    scales with D, so a rescaled instance keeps the same candidates.
     """
     return inst.n**2 * float(np.abs(inst.D).max()) * 2.0**-44
 
@@ -142,7 +139,8 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     (0, s_(n-1), ..., s_1), with every orientation flipped, are one cycle
     driven both ways at the same cost, and only the representatives with
     s_1 < s_(n-1) are screened, in blocks, over all 2^n orientations at once
-    by a quadratic form in the orientation bits. Then the representatives
+    by one product of their hop weights with the instance's hop distances
+    (`_orientation_costs`). Then the representatives
     whose minimum comes within `_least`'s window of the least screen, and
     their mirrors, are scored again by `weighted_tour_costs`. Exact-cost ties
     of that kernel are broken by lexicographically smallest (sequence, orient).

@@ -202,6 +202,21 @@ class TestEvaluateCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+    def test_successive_calls_keep_their_own_defaults(self, tmp_path, capsys):
+        # one parser serves every main() call of a process; no option may leak
+        path = tmp_path / "s.json"
+        serialize.save(gen_random_simplified(4, seed=0), path)
+        spec = "0+,1+,2+,3+"
+        outs = []
+        for extra in (["--method", "mc", "--samples", "5"], [], ["--method", "mc"]):
+            assert cli.main(["evaluate", str(path), spec, *extra]) == 0
+            outs.append(dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()))
+        assert outs[0]["samples"] == "5"
+        assert outs[1]["method"] == "closed_form" and "samples" not in outs[1]
+        assert outs[2]["samples"] == "100000" and outs[2]["seed"] == "0"
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestSolveCommand:
     def test_exact_beats_heuristic(self, tmp_path):
         path = tmp_path / "s.json"

@@ -106,6 +106,13 @@ class TestShortestPaths:
         M = all_pairs_shortest_paths(g, [0.0, 0.0, 0.0])
         assert np.all(M == 0.0)
 
+    @pytest.mark.parametrize("bad, word", [(-1.0, "negative"), (float("nan"), "NaN")])
+    def test_negative_or_nan_length_raises(self, bad, word):
+        # a NaN edge must not vanish and leave finite distances routed around it
+        g = Multigraph(range(3), [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="%s length on edge 2" % word):
+            all_pairs_shortest_paths(g, [1.0, 1.0, bad])
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_simple_path_enumeration(self, seed):
         g, dist = gen_random_eulerian(5, 8, seed)

@@ -437,12 +437,14 @@ def scorer_instance(draw):
 @settings(max_examples=80, deadline=None)
 @given(inst=scorer_instance())
 def test_orientation_scorer_matches_kernel_within_bound(inst):
-    # every sequence, not only those with edge 0 first, against every orientation
+    # every sequence, not only those with edge 0 first, against every orientation;
+    # column x holds edge orientations, so position i of seq takes bit x[seq[i]]
     n = inst.n
     seqs = np.array(list(itertools.permutations(range(n))))
     orients = evaluate.scenario_matrix(n)[:, ::-1]
     got = solvers._orientation_costs(inst, orients)(seqs)
-    want = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, seqs[:, None], orients))
+    at_positions = orients[:, seqs].transpose(1, 0, 2)  # [k, x, i] = orients[x, seqs[k, i]]
+    want = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, seqs[:, None], at_positions))
     assert got.shape == want.shape == (len(seqs), 2**n)
     assert np.abs(got - want).max() <= solvers._rounding_bound(inst)
 
