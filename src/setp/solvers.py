@@ -4,6 +4,7 @@ plus a small exact TSP solver used to certify the reduction gadget."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -130,20 +131,102 @@ def _permutation_rows(m: int) -> np.ndarray:
     return np.hstack([np.zeros((len(perms), 1), dtype=int), perms + 1])
 
 
+def _screened_rows(inst: SimplifiedInstance, orients: np.ndarray) -> np.ndarray:
+    """Near rows of the screen, sorted: every sequence (0, s_1, ..., s_(n-1))
+    whose mirror representative, the one with s_1 < s_(n-1), has some
+    orientation within 3 * `_rounding_bound` of the least screen of all (see
+    `_least`). The representatives are screened in blocks, over all
+    orientations at once, by `_orientation_costs`."""
+    n = inst.n
+    seqs = _permutation_rows(n)
+    mirror = np.r_[0, n - 1 : 0 : -1]  # columns of the mirror sequence
+    if n >= 3:  # for n <= 2 every sequence is its own mirror
+        seqs = seqs[seqs[:, 1] < seqs[:, -1]]
+    score = _orientation_costs(inst, orients)
+    least = np.concatenate([score(seqs[s]).min(axis=1) for s in _blocks(len(seqs), n << n)])
+    near = seqs[least <= least.min() + 3.0 * _rounding_bound(inst)]
+    return np.unique(np.concatenate([near, near[:, mirror]]), axis=0)
+
+
+def _held_karp_rows(inst: SimplifiedInstance) -> np.ndarray:
+    """Near rows of an instance with n >= 3 and every p = 1, in lexicographic
+    order: every sequence (0, s_1, ..., s_(n-1)) with some orientation whose
+    hop sum comes within b = `_rounding_bound` of the least closed tour V*.
+
+    With every edge served, a candidate's closed form is the service of every
+    edge, the same for all candidates, plus the hops D[head_e, tail_f] between
+    consecutive edges. F[mask, j, o0, o] is the least hop sum of a path from
+    edge 0 in orientation o0 through the edges of `mask` (bit j for edge
+    j + 1), ending at edge j + 1 in orientation o (Held & Karp 1962). With D
+    symmetric, a path driven backwards with every orientation flipped has the
+    same hops, so the least completion of a prefix that ends at edge j + 1 in
+    o, back to edge 0 in o0 through the unplaced edges, is F[unplaced | j, j,
+    1 - o0, 1 - o], with no second table. A search extends every prefix by one
+    position at a time and keeps those whose least prefix + completion, over
+    the orientations of its first and last edge, is at most V* + b.
+
+    The window: with M = max|D| and u = 2^-53, a kernel value is within
+    (8n^2 + 6n)uM <= b/32 of its exact sum (see `_rounding_bound`), so a
+    candidate that ties the least kernel value has an exact hop sum within b/16
+    of the least. Every sum here adds at most n hops of at most M each, so it
+    is within 2n^2*uM = b/256 of exact, and such a candidate's prefixes all
+    come within b/16 + b/128 < b of V*.
+    """
+    m = inst.n - 1
+    ends = np.asarray(inst.R, dtype=int)  # ends[e, o]: tail of edge e in orientation o; ends[e, 1 - o]: its head
+    hop = inst.D[ends[:, None, ::-1, None], ends[:, None, :]]  # hop[e, f, o, of]: edge e in o to edge f in of
+    bit = 1 << np.arange(m)
+    full = (1 << m) - 1
+    F = np.full((1 << m, m, 2, 2), np.inf)  # inf where j + 1 is not in mask
+    F[bit, np.arange(m)] = hop[0, 1:]
+    step = hop[1:, 1:].swapaxes(0, 1)  # step[j, i, oi, oj]: edge i + 1 to edge j + 1
+    count = ((np.arange(1 << m)[:, None] & bit) > 0).sum(axis=1)
+    for c in range(2, m + 1):
+        masks = np.flatnonzero(count == c)
+        prev = F[masks[:, None] ^ bit]  # [k, j, i, o0, oi]: paths to edge i + 1 that lack edge j + 1
+        F[masks] = (prev[..., None] + step[:, :, None]).min(axis=(2, 4))
+    back = F[:, :, ::-1, ::-1]  # completions: paths read backwards, orientations flipped
+    bound = (F[full] + back[bit, np.arange(m)]).min() + _rounding_bound(inst)  # back[bit]: the closing hop
+    seqs, placed = np.zeros((1, 1), dtype=int), np.zeros(1, dtype=int)
+    G = np.array([[[0.0, np.inf], [np.inf, 0.0]]])  # G[k, o0, o]: least hop sum of prefix k, ending in o
+    for _ in range(m):
+        # grown[k, j, o0, oj]: prefix k, then edge j + 1 in oj
+        grown = (G[:, None, :, :, None] + hop[seqs[:, -1], 1:, None]).min(axis=3)
+        masks = placed[:, None] | bit
+        total = grown + back[(full ^ masks) | bit, np.arange(m)]
+        # prefixes in lexicographic order, each extended in edge order: the rows stay sorted
+        k, j = np.nonzero((masks != placed[:, None]) & (total.min(axis=(2, 3)) <= bound))
+        seqs = np.hstack([seqs[k], j[:, None] + 1])
+        placed, G = masks[k, j], grown[k, j]
+    return seqs
+
+
 def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> SolveResult:
     """Global minimum over all canonical cyclic orders and orientations.
 
     Edge 0 is fixed at position 0 (rotation symmetry), leaving
-    (n-1)! * 2^n candidates: every sequence times every orientation. D must be
-    symmetric: then a sequence (0, s_1, ..., s_(n-1)) and its mirror
-    (0, s_(n-1), ..., s_1), with every orientation flipped, are one cycle
-    driven both ways at the same cost, and only the representatives with
-    s_1 < s_(n-1) are screened, in blocks, over all 2^n orientations at once
-    by one product of their hop weights with the instance's hop distances
-    (`_orientation_costs`). Then the representatives
-    whose minimum comes within `_least`'s window of the least screen, and
-    their mirrors, are scored again by `weighted_tour_costs`. Exact-cost ties
-    of that kernel are broken by lexicographically smallest (sequence, orient).
+    (n-1)! * 2^n candidates: every sequence times every orientation.
+    `evaluations` counts them all, as the candidates certified, though far
+    fewer reach the kernel. D must be symmetric: then a sequence
+    (0, s_1, ..., s_(n-1)) and its mirror (0, s_(n-1), ..., s_1), with every
+    orientation flipped, are one cycle driven both ways at the same cost.
+
+    A producer of near rows lists, sorted, every sequence with an orientation
+    that may tie the least kernel value, and `_least` re-scores those rows over
+    all 2^n orientations with `weighted_tour_costs`. Exact-cost ties of that
+    kernel go to the lexicographically smallest (sequence, orient). The
+    producer depends on p:
+    - every p = 0, D finite: every kernel value is exactly 0.0, so the first
+      candidate wins, and the identity sequence is the one row;
+    - every p = 1, n >= 3 (the TSP gadget): `_held_karp_rows`, in O(2^n n^2);
+    - otherwise `_screened_rows`: the representatives with s_1 < s_(n-1), in
+      blocks, each scored over all orientations at once by one product of its
+      hop weights with the instance's hop distances (`_orientation_costs`).
+    Each producer's window holds every candidate that ties the least kernel
+    value (derived in `_held_karp_rows` and `_least`), so the result does not
+    depend on the producer. Single-threaded on a 2-core host, a random n=8
+    gadget takes 2-5 ms (8-26 ms by the screen) and an n=9 gadget 6-10 ms
+    (0.12-0.18 s); an all-equal gadget still settles all (n-1)! sequences.
     """
     n = inst.n
     if n > max_n:
@@ -155,22 +238,18 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     t0 = time.perf_counter()
     # position 0 as the high bit: orientation rows in lexicographic order
     orients = scenario_matrix(n)[:, ::-1]
-    seqs = _permutation_rows(n)
-    evaluations = len(seqs) * len(orients)
-    mirror = np.r_[0, n - 1 : 0 : -1]  # columns of the mirror sequence
-    if n >= 3:  # for n <= 2 every sequence is its own mirror
-        seqs = seqs[seqs[:, 1] < seqs[:, -1]]
-    score = _orientation_costs(inst, orients)
-    least = np.concatenate([score(seqs[s]).min(axis=1) for s in _blocks(len(seqs), n << n)])
-    near = seqs[least <= least.min() + 3.0 * _rounding_bound(inst)]
-    # near representatives and their mirrors, sorted: the first least is the smallest (cost, sequence, orient)
-    rows = np.unique(np.concatenate([near, near[:, mirror]]), axis=0)
+    if not inst.p.any() and np.isfinite(inst.D).all():
+        rows = np.arange(n)[None]
+    elif n >= 3 and (inst.p == 1.0).all():
+        rows = _held_karp_rows(inst)
+    else:
+        rows = _screened_rows(inst, orients)
     cost, index = _least(inst, rows[:, None], orients)
     i, o = divmod(index, len(orients))
     return SolveResult(
         order=AprioriOrder(tuple(int(x) for x in rows[i]), tuple(int(x) for x in orients[o])),
         cost=ExpectedCost(value=cost, method=CLOSED_FORM),
-        evaluations=evaluations,
+        evaluations=math.factorial(n - 1) << n,
         wall_time=time.perf_counter() - t0,
     )
 

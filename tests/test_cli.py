@@ -21,6 +21,10 @@ def run_cli(*args):
     )
 
 
+def every_p_one(inst):
+    return SimplifiedInstance(D=inst.D, R=inst.R, p=np.ones(inst.n))
+
+
 class TestOrderSpec:
     def test_parse(self):
         assert parse_order_spec("0+,2-,1+", 3) == AprioriOrder((0, 2, 1), (0, 1, 0))
@@ -271,15 +275,20 @@ class TestSolveCommand:
     # SHA-256 of `solve --exact` stdout, recorded before brute force screened
     # one sequence of each mirror pair: the halving must not change any output.
     # The gadget's rounded TSP costs give exact ties, and its optimum is a
-    # mirror sequence (0, 4, ..., 1), not a screened one.
+    # mirror sequence (0, 4, ..., 1), not a screened one. The last two, where
+    # every p is 1, were recorded while the screen still solved them: the
+    # Held-Karp rows must settle to the same bytes.
     @pytest.mark.parametrize(
         "inst, digest",
         [(gen_random_simplified(7, seed=3), "d0800a840c059abc3e4c35b97f81ef5d37ba42624b1b68f530381a00d4b67deb"),
          (gen_random_simplified(9, seed=5, metric=True),
           "62b5b6f938069fd7bae87b40b1ead1ca90b071bc820ba7c01bd8dad585dff99a"),
          (TspInstance(np.round(gen_random_tsp(7, seed=3).C, 1)),
-          "0f1bf681b6824b283c4fa54d2050063f8bc1d06e075d1320234b78a4ca6ae086")],
-        ids=["random-7", "metric-9", "gadget-7"],
+          "0f1bf681b6824b283c4fa54d2050063f8bc1d06e075d1320234b78a4ca6ae086"),
+         (gen_random_tsp(8, seed=4), "2ad7dd10ea434ac186eb950ef1ff56fe62d677001cb644db80668c4048e9fed2"),
+         (every_p_one(gen_random_simplified(9, seed=2, metric=True)),
+          "c6288adc5ad6e7c0a2940ca0e72d491a90aa1d7d9fad0a17ffc8771efc43746f")],
+        ids=["random-7", "metric-9", "gadget-7", "gadget-8", "metric-9-p1"],
     )
     def test_exact_stdout_bytes(self, tmp_path, capsys, inst, digest):
         path = tmp_path / "s.json"

@@ -12,7 +12,7 @@ from setp.core import AprioriOrder, SimplifiedInstance, canonicalize, validate_s
 from setp.evaluate import expected_cost_closed_form
 from setp import evaluate, solvers
 from setp.solvers import brute_force, brute_force_tsp, local_search, nearest_neighbor
-from setp.transforms import TspInstance, gen_random_simplified, gen_random_tsp, tsp_to_setp
+from setp.transforms import TspInstance, default_epsilon, gen_random_simplified, gen_random_tsp, tsp_to_setp
 
 
 class TestBruteForce:
@@ -312,16 +312,16 @@ def test_brute_force_screens_one_sequence_of_each_mirror_pair(monkeypatch, n):
 
 
 @pytest.mark.parametrize("seq_rows", [None, 8])
-@pytest.mark.parametrize("seed, served", [(seed, True) for seed in range(10)] + [(0, False)])
-def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, served, seq_rows):
+@pytest.mark.parametrize("seed, apart", [(seed, True) for seed in range(10)] + [(0, False)])
+def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, apart, seq_rows):
     # The kernel re-scores the representatives whose screen comes within the
     # window of the least screen over all representatives, and their mirrors,
-    # in one sorted pass, however the screen is split into blocks. With nothing
-    # served every candidate costs 0 and all sequences are re-scored.
+    # in one sorted pass, however the screen is split into blocks. With every
+    # distance 0 every candidate costs exactly 0.0 and all sequences are re-scored.
     n = 7
     inst = gen_random_simplified(n, seed=seed, metric=seed % 2 == 0)
-    if not served:
-        inst = SimplifiedInstance(D=inst.D, R=inst.R, p=np.zeros(n))
+    if not apart:
+        inst = SimplifiedInstance(D=np.zeros_like(inst.D), R=inst.R, p=inst.p)
     orients = evaluate.scenario_matrix(n)[:, ::-1]
     reps = solvers._permutation_rows(n)
     reps = reps[reps[:, 1] < reps[:, -1]]
@@ -340,17 +340,17 @@ def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, ser
         monkeypatch.setattr(evaluate, "BATCH_CELLS", seq_rows * (n << n))
     res = brute_force(inst)
     assert settled == rows.tolist()
-    assert served or len(near) == len(reps)
+    assert apart or len(near) == len(reps)
     assert res.evaluations == math.factorial(n - 1) * 2**n
 
 
 def test_brute_force_settles_in_memory_bounded_by_the_batch(monkeypatch):
-    # With nothing served every candidate ties and all of them are settled.
+    # With every distance 0 every candidate ties and all of them are settled.
     # Settling keeps only a running least, so the traced peak stays below the
     # cost array of the representatives alone, (n-1)!/2 x 2^n floats.
     n = 7
     inst = gen_random_simplified(n, seed=0)
-    inst = SimplifiedInstance(D=inst.D, R=inst.R, p=np.zeros(n))
+    inst = SimplifiedInstance(D=np.zeros_like(inst.D), R=inst.R, p=inst.p)
     monkeypatch.setattr(evaluate, "BATCH_CELLS", n << n)
     brute_force(gen_random_simplified(3, seed=0))  # a first call's one-off allocations stay untraced
     tracemalloc.start()
@@ -417,6 +417,79 @@ def test_brute_force_matches_reference_on_mirror_pairs(n, seed, metric):
     inst = gen_random_simplified(n, seed=seed, metric=metric)
     res = brute_force(inst)
     assert (res.cost.value, res.order.sequence, res.order.orient) == reference_brute_force(inst)
+
+
+def refuse_the_screen(monkeypatch):
+    def refused(*args):
+        raise AssertionError("screen built")
+
+    monkeypatch.setattr(solvers, "_orientation_costs", refused)
+    monkeypatch.setattr(solvers, "_permutation_rows", refused)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_brute_force_takes_the_identity_when_nothing_is_served(monkeypatch, n):
+    # Every kernel value is exactly 0.0, so the first candidate wins: only its
+    # sequence is settled, and no sequence is listed or screened.
+    # `evaluations` still counts every candidate.
+    inst = gen_random_simplified(n, seed=n, metric=n % 2 == 0)
+    settled = []
+    kernel = solvers.weighted_tour_costs
+
+    def spied(D, a, b, W):
+        settled.append(len(a))
+        return kernel(D, a, b, W)
+
+    monkeypatch.setattr(solvers, "weighted_tour_costs", spied)
+    refuse_the_screen(monkeypatch)
+    res = brute_force(SimplifiedInstance(D=inst.D, R=inst.R, p=np.zeros(n)))
+    assert (res.order, repr(res.cost.value)) == (AprioriOrder(tuple(range(n)), (0,) * n), "0.0")
+    assert settled == [1] and res.evaluations == math.factorial(n - 1) * 2**n
+
+
+@pytest.mark.parametrize("gadget", [False, True])
+def test_every_p_one_builds_no_screen(monkeypatch, gadget):
+    # Every p = 1 takes the Held-Karp rows: the (n-1)! sequences are neither
+    # listed nor screened.
+    refuse_the_screen(monkeypatch)
+    inst = tsp_to_setp(gen_random_tsp(8, seed=1), 0.01)[0] if gadget else gen_random_simplified(8, seed=1)
+    res = brute_force(SimplifiedInstance(D=inst.D, R=inst.R, p=np.ones(8)))
+    assert res.evaluations == math.factorial(7) * 2**8
+
+
+@st.composite
+def served_everywhere(draw):
+    """Instances with n = 3..8 and every p = 1: TSP gadgets of raw, rounded,
+    integer or all-equal costs, or random symmetric D, metric or not. All-equal
+    gadgets stop at n = 7: at n = 8 all 5040 sequences tie, and settling them
+    takes about a second for each producer."""
+    n = draw(st.integers(3, 8))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["raw", "rounded", "integer", "random"] + ["equal"] * (n <= 7)))
+    if kind == "random":
+        inst = gen_random_simplified(n, seed=seed, metric=draw(st.booleans()))
+        return SimplifiedInstance(D=inst.D, R=inst.R, p=np.ones(n))
+    C = gen_random_tsp(n, seed=seed).C
+    C = {"raw": C, "rounded": np.round(C, 1), "integer": np.round(9 * C) + 1 - np.eye(n), "equal": 1 - np.eye(n)}[kind]
+    return tsp_to_setp(TspInstance(C), default_epsilon(C))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=served_everywhere())
+def test_held_karp_rows_settle_as_the_screen(inst):
+    # Both producers' rows, settled by the same kernel pass, give the same
+    # (sequence, orient, cost), which is the reference's for n <= 6.
+    n = inst.n
+    orients = evaluate.scenario_matrix(n)[:, ::-1]
+    got = []
+    for rows in (solvers._held_karp_rows(inst), solvers._screened_rows(inst, orients)):
+        cost, index = solvers._least(inst, rows[:, None], orients)
+        i, o = divmod(index, len(orients))
+        got.append((repr(cost), tuple(rows[i].tolist()), tuple(orients[o].tolist())))
+    assert got[0] == got[1]
+    if n <= 6:
+        cost, seq, orient = reference_brute_force(inst)
+        assert got[0] == (repr(cost), seq, orient)
 
 
 @st.composite
