@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AprioriOrder, SimplifiedInstance, canonicalize
+from .core import AprioriOrder, SimplifiedInstance, canonicalize, matrix_violations
 from .evaluate import CLOSED_FORM, ExpectedCost, _blocks, _oriented_rows, expected_cost_closed_form
 from .evaluate import scenario_matrix, weighted_tour_costs
 
@@ -135,8 +135,8 @@ def _screened_rows(inst: SimplifiedInstance, orients: np.ndarray) -> np.ndarray:
     """Near rows of the screen, sorted: every sequence (0, s_1, ..., s_(n-1))
     whose mirror representative, the one with s_1 < s_(n-1), has some
     orientation within 3 * `_rounding_bound` of the least screen of all (see
-    `_least`). The representatives are screened in blocks, over all
-    orientations at once, by `_orientation_costs`."""
+    `_least`). The representatives are screened in blocks, over all the
+    given orientations at once, by `_orientation_costs`."""
     n = inst.n
     seqs = _permutation_rows(n)
     mirror = np.r_[0, n - 1 : 0 : -1]  # columns of the mirror sequence
@@ -148,56 +148,51 @@ def _screened_rows(inst: SimplifiedInstance, orients: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([near, near[:, mirror]]), axis=0)
 
 
-def _held_karp_rows(inst: SimplifiedInstance) -> np.ndarray:
-    """Near rows of an instance with n >= 3 and every p = 1, in lexicographic
-    order: every sequence (0, s_1, ..., s_(n-1)) with some orientation whose
-    hop sum comes within b = `_rounding_bound` of the least closed tour V*.
+def _held_karp_rows(hop: np.ndarray, slack: float) -> np.ndarray:
+    """Near rows of a closed tour through items 0..m, m >= 2, in lexicographic
+    order: every sequence (0, s_1, ..., s_m) with some orientation whose hop
+    sum comes within `slack` of the least closed tour V*.
 
-    With every edge served, a candidate's closed form is the service of every
-    edge, the same for all candidates, plus the hops D[head_e, tail_f] between
-    consecutive edges. F[mask, j, o0, o] is the least hop sum of a path from
-    edge 0 in orientation o0 through the edges of `mask` (bit j for edge
-    j + 1), ending at edge j + 1 in orientation o (Held & Karp 1962). With D
-    symmetric, a path driven backwards with every orientation flipped has the
-    same hops, so the least completion of a prefix that ends at edge j + 1 in
-    o, back to edge 0 in o0 through the unplaced edges, is F[unplaced | j, j,
-    1 - o0, 1 - o], with no second table. A search extends every prefix by one
-    position at a time and keeps those whose least prefix + completion, over
-    the orientations of its first and last edge, is at most V* + b.
-
-    The window: with M = max|D| and u = 2^-53, a kernel value is within
-    (8n^2 + 6n)uM <= b/32 of its exact sum (see `_rounding_bound`), so a
-    candidate that ties the least kernel value has an exact hop sum within b/16
-    of the least. Every sum here adds at most n hops of at most M each, so it
-    is within 2n^2*uM = b/256 of exact, and such a candidate's prefixes all
-    come within b/16 + b/128 < b of V*.
+    hop[e, f, o, of] is the step from item e in orientation o to item f in
+    orientation of, with r = hop.shape[2] orientations per item: 2 for the
+    edges of an every-p-is-1 instance, 1 for the cities of a TSP or for edges
+    whose hops no orientation changes. F[mask, j, o0, o] is the least hop sum
+    of a path from item 0 in orientation o0 through the items of `mask` (bit
+    j for item j + 1), ending at item j + 1 in orientation o (Held & Karp
+    1962). The table must read the same reversed, hop[e, f, o, of] ==
+    hop[f, e, r-1-of, r-1-o], as a symmetric D or C makes it: then a path
+    driven backwards with every orientation flipped has the same hops, so the
+    least completion of a prefix that ends at item j + 1 in o, back to item 0
+    in o0 through the unplaced items, is F[unplaced | j, j, r-1-o0, r-1-o],
+    with no second table. A search extends every prefix by one unplaced item
+    at a time and keeps those whose least prefix + completion, over the
+    orientations of its first and last item, is at most V* + slack. A sum
+    adds at most m + 1 hops of at most M = max|hop|, so it is within
+    2(m + 1)^2*uM of exact, u = 2^-53; each caller derives its slack.
     """
-    m = inst.n - 1
-    ends = np.asarray(inst.R, dtype=int)  # ends[e, o]: tail of edge e in orientation o; ends[e, 1 - o]: its head
-    hop = inst.D[ends[:, None, ::-1, None], ends[:, None, :]]  # hop[e, f, o, of]: edge e in o to edge f in of
+    m, r = len(hop) - 1, hop.shape[2]
     bit = 1 << np.arange(m)
     full = (1 << m) - 1
-    F = np.full((1 << m, m, 2, 2), np.inf)  # inf where j + 1 is not in mask
+    F = np.full((1 << m, m, r, r), np.inf)  # inf where j + 1 is not in mask
     F[bit, np.arange(m)] = hop[0, 1:]
-    step = hop[1:, 1:].swapaxes(0, 1)  # step[j, i, oi, oj]: edge i + 1 to edge j + 1
+    step = hop[1:, 1:].swapaxes(0, 1)  # step[j, i, oi, oj]: item i + 1 to item j + 1
     count = ((np.arange(1 << m)[:, None] & bit) > 0).sum(axis=1)
     for c in range(2, m + 1):
         masks = np.flatnonzero(count == c)
-        prev = F[masks[:, None] ^ bit]  # [k, j, i, o0, oi]: paths to edge i + 1 that lack edge j + 1
+        prev = F[masks[:, None] ^ bit]  # [k, j, i, o0, oi]: paths to item i + 1 that lack item j + 1
         F[masks] = (prev[..., None] + step[:, :, None]).min(axis=(2, 4))
     back = F[:, :, ::-1, ::-1]  # completions: paths read backwards, orientations flipped
-    bound = (F[full] + back[bit, np.arange(m)]).min() + _rounding_bound(inst)  # back[bit]: the closing hop
+    bound = (F[full] + back[bit, np.arange(m)]).min() + slack  # back[bit]: the closing hop
     seqs, placed = np.zeros((1, 1), dtype=int), np.zeros(1, dtype=int)
-    G = np.array([[[0.0, np.inf], [np.inf, 0.0]]])  # G[k, o0, o]: least hop sum of prefix k, ending in o
+    G = np.where(np.eye(r, dtype=bool), 0.0, np.inf)[None]  # G[k, o0, o]: least hop sum of prefix k, ending in o
     for _ in range(m):
-        # grown[k, j, o0, oj]: prefix k, then edge j + 1 in oj
-        grown = (G[:, None, :, :, None] + hop[seqs[:, -1], 1:, None]).min(axis=3)
-        masks = placed[:, None] | bit
-        total = grown + back[(full ^ masks) | bit, np.arange(m)]
-        # prefixes in lexicographic order, each extended in edge order: the rows stay sorted
-        k, j = np.nonzero((masks != placed[:, None]) & (total.min(axis=(2, 3)) <= bound))
-        seqs = np.hstack([seqs[k], j[:, None] + 1])
-        placed, G = masks[k, j], grown[k, j]
+        # prefixes in lexicographic order, each extended by an unplaced item j + 1 in item order: the rows stay sorted
+        k, j = np.nonzero((placed[:, None] & bit) == 0)
+        grown = (G[k, :, :, None] + hop[seqs[k, -1], j + 1, None]).min(axis=2)  # [k, o0, oj]: then item j + 1 in oj
+        masks = placed[k] | bit[j]
+        keep = (grown + back[(full ^ masks) | bit[j], j]).min(axis=(1, 2)) <= bound
+        seqs = np.hstack([seqs[k[keep]], j[keep, None] + 1])
+        placed, G = masks[keep], grown[keep]
     return seqs
 
 
@@ -212,21 +207,27 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     orientation flipped, are one cycle driven both ways at the same cost.
 
     A producer of near rows lists, sorted, every sequence with an orientation
-    that may tie the least kernel value, and `_least` re-scores those rows over
-    all 2^n orientations with `weighted_tour_costs`. Exact-cost ties of that
-    kernel go to the lexicographically smallest (sequence, orient). The
-    producer depends on p:
+    that may tie the least kernel value, and `_least` re-scores those rows
+    with `weighted_tour_costs`. Exact-cost ties of that kernel go to the
+    lexicographically smallest (sequence, orient). When no hop
+    D[head_e, tail_f], e != f, depends on the orientations (a `tsp_to_setp`
+    gadget), no kernel operand does, D being symmetric: every orientation of
+    a sequence scores the same float, so orientation 0 wins, and it is the
+    only one screened and settled. The producer depends on p:
     - every p = 0, D finite: every kernel value is exactly 0.0, so the first
       candidate wins, and the identity sequence is the one row;
-    - every p = 1, n >= 3 (the TSP gadget): `_held_karp_rows`, in O(2^n n^2);
+    - every p = 1, n >= 3 (the TSP gadget): `_held_karp_rows` in O(2^n n^2),
+      with slack b = `_rounding_bound`. With M = max|D| and u = 2^-53, a
+      kernel value is within (8n^2 + 6n)uM <= b/32 of exact, so a candidate
+      that ties the least one has a hop sum within b/16 of the least, and its
+      prefixes, summed within 2n^2*uM = b/256, come within b/16 + b/128 < b;
     - otherwise `_screened_rows`: the representatives with s_1 < s_(n-1), in
       blocks, each scored over all orientations at once by one product of its
       hop weights with the instance's hop distances (`_orientation_costs`).
     Each producer's window holds every candidate that ties the least kernel
-    value (derived in `_held_karp_rows` and `_least`), so the result does not
-    depend on the producer. Single-threaded on a 2-core host, a random n=8
-    gadget takes 2-5 ms (8-26 ms by the screen) and an n=9 gadget 6-10 ms
-    (0.12-0.18 s); an all-equal gadget still settles all (n-1)! sequences.
+    value (see `_least`), so the result does not depend on the producer.
+    Single-threaded on a 2-core host, an n=8 or n=9 gadget takes 0.5-1.1 ms
+    (8-26 ms and 0.12-0.18 s by the screen), an all-equal n=9 gadget 0.1 s.
     """
     n = inst.n
     if n > max_n:
@@ -238,10 +239,15 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     t0 = time.perf_counter()
     # position 0 as the high bit: orientation rows in lexicographic order
     orients = scenario_matrix(n)[:, ::-1]
+    ends = np.asarray(inst.R, dtype=int)  # ends[e, o]: tail of edge e in orientation o; ends[e, 1 - o]: its head
+    hop = inst.D[ends[:, None, ::-1, None], ends[:, None, :]]  # hop[e, f, o, of]: edge e in o to edge f in of
+    between = hop[~np.eye(n, dtype=bool)]
+    if (between == between[:, :1, :1]).all():
+        hop, orients = hop[:, :, :1, :1], orients[:1]
     if not inst.p.any() and np.isfinite(inst.D).all():
         rows = np.arange(n)[None]
     elif n >= 3 and (inst.p == 1.0).all():
-        rows = _held_karp_rows(inst)
+        rows = _held_karp_rows(hop, _rounding_bound(inst))
     else:
         rows = _screened_rows(inst, orients)
     cost, index = _least(inst, rows[:, None], orients)
@@ -400,15 +406,21 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
 
 
 def brute_force_tsp(C: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Exact TSP by permutation enumeration with city 0 fixed.
-
-    Returns (tour, cost); ties go to the lexicographically smallest tour.
+    """Exact TSP with city 0 fixed: (tour, cost), ties to the
+    lexicographically smallest tour. ValueError unless 3 <= m <= TSP_GUARD
+    and `core.matrix_violations` accepts C (its symmetry gives the reversed
+    completions of `_held_karp_rows`). That search, with one orientation per
+    city, lists every tour within b = m^2*M*2^-44, M = max|C|, of the least;
+    the first least edge-by-edge sum wins, as sum() over each tour gives. A
+    tour tying that sum is within 2m^2*uM of the optimum, u = 2^-53, and its
+    prefixes, summed within 2m^2*uM, come within 6m^2*uM < b of the least.
     """
     C = np.asarray(C, dtype=float)
-    m = C.shape[0]
-    if m > TSP_GUARD:
-        raise ValueError("TSP enumeration limited to %d cities, got %d" % (TSP_GUARD, m))
-    tours = _permutation_rows(m)
+    violations = matrix_violations(C, "cost")
+    if violations or not 3 <= len(C) <= TSP_GUARD:
+        raise ValueError("; ".join(violations) or "TSP search needs 3 to %d cities, got %d" % (TSP_GUARD, len(C)))
+    m = len(C)
+    tours = _held_karp_rows(C[:, :, None, None], m * m * float(np.abs(C).max()) * 2.0**-44)
     costs = np.zeros(len(tours))
     for i in range(m):  # the additions of sum() over the tour's edges, in the same order
         costs += C[tours[:, i], tours[:, (i + 1) % m]]

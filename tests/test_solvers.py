@@ -311,28 +311,43 @@ def test_brute_force_screens_one_sequence_of_each_mirror_pair(monkeypatch, n):
     assert res.evaluations == math.factorial(n - 1) * 2**n
 
 
+def one_served_edge(inst):
+    """`inst` with p zero except on one edge: every hop weight is 0, so every
+    candidate costs exactly p_e*(D[u, v] + D[v, u]), while the hops of a random
+    D still depend on the orientations."""
+    p = np.zeros(inst.n)
+    p[inst.n // 2] = 0.75
+    return SimplifiedInstance(D=inst.D, R=inst.R, p=p)
+
+
 @pytest.mark.parametrize("seq_rows", [None, 8])
-@pytest.mark.parametrize("seed, apart", [(seed, True) for seed in range(10)] + [(0, False)])
+@pytest.mark.parametrize("seed, apart", [(seed, True) for seed in range(10)] + [(0, False), (0, "one served")])
 def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, apart, seq_rows):
     # The kernel re-scores the representatives whose screen comes within the
     # window of the least screen over all representatives, and their mirrors,
     # in one sorted pass, however the screen is split into blocks. With every
-    # distance 0 every candidate costs exactly 0.0 and all sequences are re-scored.
+    # distance 0 (apart False) every candidate costs exactly 0.0, and all
+    # sequences are re-scored, each in orientation 0 only: no hop depends on
+    # the orientations. With one edge served every candidate ties too, and
+    # all sequences are re-scored over every orientation.
     n = 7
     inst = gen_random_simplified(n, seed=seed, metric=seed % 2 == 0)
-    if not apart:
+    if apart is False:
         inst = SimplifiedInstance(D=np.zeros_like(inst.D), R=inst.R, p=inst.p)
+    elif apart == "one served":
+        inst = one_served_edge(inst)
     orients = evaluate.scenario_matrix(n)[:, ::-1]
     reps = solvers._permutation_rows(n)
     reps = reps[reps[:, 1] < reps[:, -1]]
     least = solvers._orientation_costs(inst, orients)(reps).min(axis=1)
     near = reps[least <= least.min() + 3.0 * solvers._rounding_bound(inst)]
     rows = np.unique(np.concatenate([near, near[:, [0, *range(n - 1, 0, -1)]]]), axis=0)
-    settled = []
+    settled, widths = [], set()
     kernel = solvers.weighted_tour_costs
 
     def spied(D, a, b, W):
         settled.extend((a[:, 0] // 2).tolist())  # tail vertex -> edge: R pairs 2i with 2i + 1
+        widths.add(a.shape[1])  # orientations settled per row
         return kernel(D, a, b, W)
 
     monkeypatch.setattr(solvers, "weighted_tour_costs", spied)
@@ -340,17 +355,23 @@ def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, apa
         monkeypatch.setattr(evaluate, "BATCH_CELLS", seq_rows * (n << n))
     res = brute_force(inst)
     assert settled == rows.tolist()
-    assert apart or len(near) == len(reps)
+    assert apart is True or len(near) == len(reps)
+    assert apart is not False or widths == {1}
     assert res.evaluations == math.factorial(n - 1) * 2**n
 
 
-def test_brute_force_settles_in_memory_bounded_by_the_batch(monkeypatch):
-    # With every distance 0 every candidate ties and all of them are settled.
-    # Settling keeps only a running least, so the traced peak stays below the
-    # cost array of the representatives alone, (n-1)!/2 x 2^n floats.
+@pytest.mark.parametrize("ties", ["no distance", "one served"])
+def test_brute_force_settles_in_memory_bounded_by_the_batch(monkeypatch, ties):
+    # With every distance 0, or with one edge served, every candidate ties and
+    # all of them are settled, so the first one wins. Settling keeps only a
+    # running least, so the traced peak stays below the cost array of the
+    # representatives alone, (n-1)!/2 x 2^n floats.
     n = 7
     inst = gen_random_simplified(n, seed=0)
-    inst = SimplifiedInstance(D=np.zeros_like(inst.D), R=inst.R, p=inst.p)
+    if ties == "no distance":
+        inst = SimplifiedInstance(D=np.zeros_like(inst.D), R=inst.R, p=inst.p)
+    else:
+        inst = one_served_edge(inst)
     monkeypatch.setattr(evaluate, "BATCH_CELLS", n << n)
     brute_force(gen_random_simplified(3, seed=0))  # a first call's one-off allocations stay untraced
     tracemalloc.start()
@@ -361,7 +382,9 @@ def test_brute_force_settles_in_memory_bounded_by_the_batch(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert res.cost.value == 0.0
+    u, v = inst.R[n // 2]
+    assert res.cost.value == (0.0 if ties == "no distance" else 0.75 * inst.D[u, v] * 2)
+    assert res.order == AprioriOrder(tuple(range(n)), (0,) * n)
     assert peak < math.factorial(n - 1) // 2 * 2**n * 8
 
 
@@ -447,6 +470,29 @@ def test_brute_force_takes_the_identity_when_nothing_is_served(monkeypatch, n):
     assert settled == [1] and res.evaluations == math.factorial(n - 1) * 2**n
 
 
+@pytest.mark.parametrize("kind", ["gadget", "gadget of random p", "random D"])
+def test_orientation_free_instances_settle_one_orientation(monkeypatch, kind):
+    # No gadget hop depends on the orientations, so neither does any kernel
+    # value: each settled row is scored in orientation 0 only, by either
+    # producer. Random D with every p = 1 still settles all 2^n.
+    n = 6
+    inst = tsp_to_setp(gen_random_tsp(n, seed=3), 0.01)[0] if "gadget" in kind else gen_random_simplified(n, seed=3)
+    p = np.random.default_rng(3).random(n) if kind == "gadget of random p" else np.ones(n)
+    inst = SimplifiedInstance(D=inst.D, R=inst.R, p=p)
+    widths = set()
+    kernel = solvers.weighted_tour_costs
+
+    def spied(D, a, b, W):
+        widths.add(a.shape[1])
+        return kernel(D, a, b, W)
+
+    monkeypatch.setattr(solvers, "weighted_tour_costs", spied)
+    res = brute_force(inst)
+    assert widths == {2**n if kind == "random D" else 1}
+    cost, seq, orient = reference_brute_force(inst)
+    assert (res.cost.value, res.order.sequence, res.order.orient) == (cost, seq, orient)
+
+
 @pytest.mark.parametrize("gadget", [False, True])
 def test_every_p_one_builds_no_screen(monkeypatch, gadget):
     # Every p = 1 takes the Held-Karp rows: the (n-1)! sequences are neither
@@ -482,7 +528,9 @@ def test_held_karp_rows_settle_as_the_screen(inst):
     n = inst.n
     orients = evaluate.scenario_matrix(n)[:, ::-1]
     got = []
-    for rows in (solvers._held_karp_rows(inst), solvers._screened_rows(inst, orients)):
+    ends = np.asarray(inst.R)
+    hop = inst.D[ends[:, None, ::-1, None], ends[:, None, :]]  # both orientations, even where neither matters
+    for rows in (solvers._held_karp_rows(hop, solvers._rounding_bound(inst)), solvers._screened_rows(inst, orients)):
         cost, index = solvers._least(inst, rows[:, None], orients)
         i, o = divmod(index, len(orients))
         got.append((repr(cost), tuple(rows[i].tolist()), tuple(orients[o].tolist())))
@@ -529,11 +577,18 @@ class TestBruteForceTsp:
         assert cost == pytest.approx(3.0)
         assert tour[0] == 0
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", range(30))
     def test_matches_itertools_reference_with_ties(self, seed):
-        # rounded costs force ties, which go to the lexicographically smallest tour
-        m = 3 + seed % 5
-        C = np.round(gen_random_tsp(m, seed=seed).C, 1 if seed % 2 else 2)
+        # rounded costs force ties, which go to the lexicographically smallest
+        # tour; seeds 20-23 reach m = 8 and 9, and seeds 24-29 are all-equal
+        # costs at m = 3..8, where every tour ties
+        if seed < 20:
+            m = 3 + seed % 5
+        elif seed < 24:
+            m = 8 + seed % 2
+        else:
+            m = seed - 21
+        C = np.round(gen_random_tsp(m, seed=seed).C, 1 if seed % 2 else 2) if seed < 24 else 1 - np.eye(m)
         best = None
         for rest in itertools.permutations(range(1, m)):
             tour = (0,) + rest
@@ -542,6 +597,25 @@ class TestBruteForceTsp:
                 best = (tour, cost)
         tour, cost = brute_force_tsp(C)
         assert (tour, repr(cost)) == (best[0], repr(float(best[1])))
+
+    @pytest.mark.parametrize(
+        "C, match",
+        [
+            (np.zeros((1, 1)), "3 to 10 cities, got 1"),
+            (1 - np.eye(2), "3 to 10 cities, got 2"),
+            (1 - np.eye(11), "3 to 10 cities, got 11"),
+            (np.triu(1 - np.eye(4)), "not symmetric"),
+            (np.where(np.eye(4) == 1, 0.0, np.nan), "non-finite"),
+            (np.ones(4), "not square"),
+        ],
+    )
+    def test_rejects_what_the_search_cannot_certify(self, C, match):
+        with pytest.raises(ValueError, match=match):
+            brute_force_tsp(C)
+
+    def test_lists_no_permutation(self, monkeypatch):
+        refuse_the_screen(monkeypatch)
+        assert brute_force_tsp(1 - np.eye(10)) == (tuple(range(10)), 10.0)
 
     def test_square(self):
         # 4 points on a unit square: optimum is the perimeter, length 4
