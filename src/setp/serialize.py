@@ -95,7 +95,10 @@ def from_document(doc: dict[str, Any]):
         if kind == "tsp":
             return TspInstance(_numbers(doc["C"]))
         if kind == "vertex_map":  # dict.items rejects a map that is not an object
-            return {int(k): _id(v) for k, v in dict.items(doc["map"])}
+            vmap = {int(k): _id(v) for k, v in dict.items(doc["map"])}
+            if list(map(str, vmap)) != list(doc["map"]):  # int() also reads "01", " 2 ", "+3", "1_0"
+                raise ValueError("a key is not an integer as str() writes it")
+            return vmap
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError("malformed %s document: %s" % (kind, exc)) from exc
     raise FormatError("unknown kind %r" % kind)

@@ -28,32 +28,23 @@ class SolveResult:
     stop: str = "exhaustive"  # local search: "local_optimum" or "budget"
 
 
-def _orientation_costs(inst: SimplifiedInstance, orients: np.ndarray):
-    """Scorer of sequence blocks: (k, n) sequences -> (k, len(orients)) costs,
-    the closed form of every (sequence, orientation) up to rounding. Column x
-    holds the edge orientations x: edge e is flipped when x_e is set, so
-    position i of sequence s takes orientation x[s_i].
+def _orientation_costs(hop: np.ndarray, p: np.ndarray, orients: np.ndarray):
+    """Scorer of sequence blocks: (k, n) sequences -> (k, len(orients)) hop
+    sums. Column x holds the edge orientations x, so position i of sequence s
+    takes orientation x[s_i].
 
     In edge terms the closed form (Jaillet's a priori sum) is c(x) +
-    sum_{e != f} H_s(e, f) * D[head_e(x_e), tail_f(x_f)]. The hop weight
-    H_s(e, f) = p_e * p_f * prod(1 - p_g), over the edges g strictly between e
-    and f in s, holds all that depends on the sequence; the service and wrap
-    terms c(x) = sum_e p_e*D[tail_e, head_e] + w_e*D[head_e, tail_e], with
-    w_e = p_e * prod_(g != e)(1 - p_g), depend on no sequence. So the distances
-    M[(e, f), x] and c are built once, and a block's costs are c + H @ M.
+    sum_{e != f} H_s(e, f) * hop[e, f, x_e, x_f]. The hop weight H_s(e, f) =
+    p_e * p_f * prod(1 - p_g), over the edges g strictly between e and f in s,
+    holds all that depends on the sequence; the service and wrap terms c(x)
+    depend on no sequence and, D being symmetric, on no orientation, so they
+    are left out. A block's hop sums are H @ M, M[(e, f), x] gathered once.
     """
-    n = inst.n
-    u, v = np.asarray(inst.R, dtype=int).T
-    D, p = inst.D, inst.p
-    bits = np.asarray(orients, dtype=bool)
-    tail, head = np.where(bits, v, u), np.where(bits, u, v)  # (len(orients), n), by edge
-    q = 1.0 - p
-    # products of q before and after each edge; no division, since p = 1 gives q = 0
-    before = np.concatenate([[1.0], np.cumprod(q[:-1])])
-    after = np.concatenate([np.cumprod(q[:0:-1])[::-1], [1.0]])
-    c = (p * D[tail, head] + p * before * after * D[head, tail]).sum(axis=1)
-    M = D[head[:, :, None], tail[:, None, :]].reshape(len(bits), n * n).T  # row e*n + f
-    shift = (np.arange(n) + np.arange(n)[:, None]) % n  # shift[t, i] = i + t, cyclic
+    n = len(p)
+    x = np.asarray(orients, dtype=int).T  # x[e, k]: orientation of edge e in column k
+    e = np.arange(n)
+    M = hop[e[:, None, None], e[:, None], x[:, None], x].reshape(n * n, -1)  # row e*n + f
+    shift = (e + e[:, None]) % n  # shift[t, i] = i + t, cyclic
 
     def score(seqs: np.ndarray) -> np.ndarray:
         S = seqs[:, shift]  # S[:, t, i]: the edge t positions after position i
@@ -62,36 +53,38 @@ def _orientation_costs(inst: SimplifiedInstance, orients: np.ndarray):
         run = np.concatenate([np.ones_like(W[:, :1]), np.cumprod(1.0 - W[:, 1:-1], axis=1)], axis=1)
         H = np.zeros((len(seqs), n, n))
         H[np.arange(len(seqs))[:, None, None], S[:, :1], S[:, 1:]] = W[:, :1] * W[:, 1:] * run
-        return c + H.reshape(len(seqs), n * n) @ M
+        return H.reshape(len(seqs), n * n) @ M
 
     return score
 
 
-def _rounding_bound(inst: SimplifiedInstance) -> float:
+def _rounding_bound(n: int, M: np.ndarray) -> float:
     """Bound on |screen estimate - weighted_tour_costs| for any candidate of
-    either search: `_orientation_costs` in brute force, `_reversal_deltas` plus
-    the current cost in local search.
+    either search over n items with distances M: `_reversal_deltas` plus the
+    current cost in local search, `_orientation_costs` plus a constant in
+    brute force.
 
-    With u = 2^-53 and M = max|D|, every value is a sum of products of
+    With u = 2^-53 and M read as max|M|, every value is a sum of products of
     probabilities with distances. A position's weights total at most 2 (its
     service weight, then hop and wrap weights that split its own probability),
     so the absolute terms of one tour total at most 2nM; local search's
     crossing terms are pair terms of two tours, at most 2nM. A term of the
-    kernel passes through at most 4n + 3 roundings (run products of up to
-    n - 1 factors of 1 - w, then n positions and n shifts summed); a term of
-    the local screen through at most 6n + 7 (two skip products, a cumulative
-    sum over outside positions, a sum over the segment). Two kernel values and
-    one screen thus differ by at most (28n^2 + 26n)uM <= 64n^2*uM, an eighth
-    of the bound, for every n. Brute force's weights are products of at most
-    n factors, and c + H @ M sums n(n - 1) hop terms and 2n service and wrap
-    terms, so a term passes through at most n^2 + 3n + 2 roundings: about
-    2n^3*uM, and (2n^3 + 14n^2 + 10n)uM with the kernel's, within the bound
-    for n <= 248, far past the n at which (n-1)!*2^n candidates can be
-    enumerated. Two kernel values of one exact sum differ by at most
-    2(8n^2 + 6n)uM <= 28n^2*uM, under a sixteenth of the bound. The bound
-    scales with D, so a rescaled instance keeps the same candidates.
+    kernel passes through at most 4n + 3 roundings (run products of up to n - 1
+    factors of 1 - w, then n positions and n shifts summed); a term of the
+    local screen through at most 6n + 7 (two skip products, a cumulative sum
+    over outside positions, a sum over the segment). Two kernel values and one
+    screen thus differ by at most (28n^2 + 26n)uM <= 64n^2*uM, an eighth of the
+    bound, for every n. Brute force's hop weights are products of at most n
+    factors, and H @ M sums n(n - 1) hop terms, so a term passes through at
+    most n^2 + n roundings: about 2n^3*uM, and (2n^3 + 10n^2 + 6n)uM with the
+    kernel's, which holds its rounding of the service and wrap terms the screen
+    leaves out: within the bound for n <= 250, far past the n at which
+    (n-1)!*2^n candidates can be enumerated. Two kernel values of one exact sum
+    differ by at most 2(8n^2 + 6n)uM <= 28n^2*uM, under a sixteenth of the
+    bound. The bound scales with M, so a rescaled instance keeps the same
+    candidates.
     """
-    return inst.n**2 * float(np.abs(inst.D).max()) * 2.0**-44
+    return n**2 * float(np.abs(M).max()) * 2.0**-44
 
 
 def _least(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> tuple[float, int]:
@@ -100,11 +93,12 @@ def _least(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> t
     with (k, n) orientations, or (k, 1, n) against (r, n). A NaN never wins; a
     set with no value below inf, an empty one included, raises ValueError.
 
-    A screen within b = `_rounding_bound` of the kernel puts every candidate of
-    least kernel value K at or below K + b, and none below K - b. So local
-    search's window, 2b over the least estimate, holds every move that ties K.
-    Brute force screens one of each mirror pair, two kernel values of one exact
-    sum (within b/16), so its window is 3b over the least screen of all.
+    A screen within b = `_rounding_bound` of the kernel less a constant C
+    puts every candidate of least kernel value K at or below K - C + b, and
+    none below K - C - b. So local search's window (C = 0), 2b over the least
+    estimate, holds every move that ties K. Brute force's hop sums (C: the
+    service and wrap terms) screen one of each mirror pair, two kernel values
+    of one exact sum (within b/16), so its window is 3b over the least of all.
     """
     orients = np.broadcast_to(orients, np.broadcast_shapes(seqs.shape, orients.shape))
     cost, index = np.inf, -1
@@ -131,20 +125,20 @@ def _permutation_rows(m: int) -> np.ndarray:
     return np.hstack([np.zeros((len(perms), 1), dtype=int), perms + 1])
 
 
-def _screened_rows(inst: SimplifiedInstance, orients: np.ndarray) -> np.ndarray:
+def _screened_rows(hop: np.ndarray, p: np.ndarray, orients: np.ndarray, slack: float) -> np.ndarray:
     """Near rows of the screen, sorted: every sequence (0, s_1, ..., s_(n-1))
     whose mirror representative, the one with s_1 < s_(n-1), has some
-    orientation within 3 * `_rounding_bound` of the least screen of all (see
-    `_least`). The representatives are screened in blocks, over all the
-    given orientations at once, by `_orientation_costs`."""
-    n = inst.n
+    orientation whose hop sum comes within `slack` of the least of all. The
+    representatives are screened in blocks, over all the given orientations
+    at once, by `_orientation_costs`."""
+    n = len(p)
     seqs = _permutation_rows(n)
     mirror = np.r_[0, n - 1 : 0 : -1]  # columns of the mirror sequence
     if n >= 3:  # for n <= 2 every sequence is its own mirror
         seqs = seqs[seqs[:, 1] < seqs[:, -1]]
-    score = _orientation_costs(inst, orients)
+    score = _orientation_costs(hop, p, orients)
     least = np.concatenate([score(seqs[s]).min(axis=1) for s in _blocks(len(seqs), n << n)])
-    near = seqs[least <= least.min() + 3.0 * _rounding_bound(inst)]
+    near = seqs[least <= least.min() + slack]
     return np.unique(np.concatenate([near, near[:, mirror]]), axis=0)
 
 
@@ -221,13 +215,11 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
       kernel value is within (8n^2 + 6n)uM <= b/32 of exact, so a candidate
       that ties the least one has a hop sum within b/16 of the least, and its
       prefixes, summed within 2n^2*uM = b/256, come within b/16 + b/128 < b;
-    - otherwise `_screened_rows`: the representatives with s_1 < s_(n-1), in
-      blocks, each scored over all orientations at once by one product of its
-      hop weights with the instance's hop distances (`_orientation_costs`).
+    - otherwise `_screened_rows` with slack 3b: the representatives with
+      s_1 < s_(n-1), in blocks, each scored over all orientations at once by
+      one product of its hop weights with the hop table (`_orientation_costs`).
     Each producer's window holds every candidate that ties the least kernel
     value (see `_least`), so the result does not depend on the producer.
-    Single-threaded on a 2-core host, an n=8 or n=9 gadget takes 0.5-1.1 ms
-    (8-26 ms and 0.12-0.18 s by the screen), an all-equal n=9 gadget 0.1 s.
     """
     n = inst.n
     if n > max_n:
@@ -244,12 +236,13 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     between = hop[~np.eye(n, dtype=bool)]
     if (between == between[:, :1, :1]).all():
         hop, orients = hop[:, :, :1, :1], orients[:1]
+    b = _rounding_bound(n, inst.D)
     if not inst.p.any() and np.isfinite(inst.D).all():
         rows = np.arange(n)[None]
     elif n >= 3 and (inst.p == 1.0).all():
-        rows = _held_karp_rows(hop, _rounding_bound(inst))
+        rows = _held_karp_rows(hop, b)
     else:
-        rows = _screened_rows(inst, orients)
+        rows = _screened_rows(hop, inst.p, orients, 3.0 * b)
     cost, index = _least(inst, rows[:, None], orients)
     i, o = divmod(index, len(orients))
     return SolveResult(
@@ -378,7 +371,7 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     keep = (pi != 0) | (pj != n - 1)
     move_i = np.concatenate([np.arange(n), pi[keep]])
     move_j = np.concatenate([np.arange(n), pj[keep]])
-    window = 2.0 * _rounding_bound(inst)
+    window = 2.0 * _rounding_bound(n, inst.D)
     while evaluations < budget:
         seq = np.asarray(current.sequence)
         orient = np.asarray(current.orient)
@@ -410,17 +403,18 @@ def brute_force_tsp(C: np.ndarray) -> tuple[tuple[int, ...], float]:
     lexicographically smallest tour. ValueError unless 3 <= m <= TSP_GUARD
     and `core.matrix_violations` accepts C (its symmetry gives the reversed
     completions of `_held_karp_rows`). That search, with one orientation per
-    city, lists every tour within b = m^2*M*2^-44, M = max|C|, of the least;
-    the first least edge-by-edge sum wins, as sum() over each tour gives. A
-    tour tying that sum is within 2m^2*uM of the optimum, u = 2^-53, and its
-    prefixes, summed within 2m^2*uM, come within 6m^2*uM < b of the least.
+    city, lists every tour within b = `_rounding_bound(m, C)` = m^2*M*2^-44,
+    M = max|C|, of the least; the first least edge-by-edge sum wins, as sum()
+    over each tour gives. A tour tying that sum is within 2m^2*uM of the
+    optimum, u = 2^-53, and its prefixes, summed within 2m^2*uM, come within
+    6m^2*uM < b of the least.
     """
     C = np.asarray(C, dtype=float)
     violations = matrix_violations(C, "cost")
     if violations or not 3 <= len(C) <= TSP_GUARD:
         raise ValueError("; ".join(violations) or "TSP search needs 3 to %d cities, got %d" % (TSP_GUARD, len(C)))
     m = len(C)
-    tours = _held_karp_rows(C[:, :, None, None], m * m * float(np.abs(C).max()) * 2.0**-44)
+    tours = _held_karp_rows(C[:, :, None, None], _rounding_bound(m, C))
     costs = np.zeros(len(tours))
     for i in range(m):  # the additions of sum() over the tour's edges, in the same order
         costs += C[tours[:, i], tours[:, (i + 1) % m]]

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from setp import cli, serialize, solvers
 from setp.cli import format_order_spec, parse_order_spec
 from setp.core import AprioriOrder, SimplifiedInstance
-from setp.transforms import TspInstance, gen_random_original, gen_random_simplified, gen_random_tsp
+from setp.transforms import TspInstance, default_epsilon, gen_random_original, gen_random_simplified, gen_random_tsp
+from setp.transforms import tsp_to_setp
 
 
 def run_cli(*args):
@@ -21,8 +22,12 @@ def run_cli(*args):
     )
 
 
-def every_p_one(inst):
-    return SimplifiedInstance(D=inst.D, R=inst.R, p=np.ones(inst.n))
+def with_p(inst, p):
+    return SimplifiedInstance(D=inst.D, R=inst.R, p=p)
+
+
+def gadget(tsp):
+    return tsp_to_setp(tsp, default_epsilon(tsp.C))[0]
 
 
 class TestOrderSpec:
@@ -106,8 +111,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "doc",
-        [[1, 2], {"map": [1, 2]}, {"map": {"0": 1.5}}, {"map": {"0": True}}, {"map": {"x": 1}}, {}],
-        ids=["list", "map-list", "fractional-id", "boolean-id", "bad-key", "no-map"],
+        [[1, 2], {"map": [1, 2]}, {"map": {"0": 1.5}}, {"map": {"0": True}}, {"map": {"x": 1}}, {},
+         {"map": {"1": 0, "01": 1}}, {"map": {"1_0": 0}}],
+        ids=["list", "map-list", "fractional-id", "boolean-id", "bad-key", "no-map", "padded-key", "underscore-key"],
     )
     def test_malformed_vertex_map(self, doc, tmp_path):
         if isinstance(doc, dict):
@@ -277,7 +283,10 @@ class TestSolveCommand:
     # The gadget's rounded TSP costs give exact ties, and its optimum is a
     # mirror sequence (0, 4, ..., 1), not a screened one. The last two, where
     # every p is 1, were recorded while the screen still solved them: the
-    # Held-Karp rows must settle to the same bytes.
+    # Held-Karp rows must settle to the same bytes. The gadget of random p
+    # (screened in one orientation) and the random D with p from {0, 1/2, 1}
+    # were recorded while the screen still added the service and wrap terms
+    # to its hop sums: dropping that constant must not change any output.
     @pytest.mark.parametrize(
         "inst, digest",
         [(gen_random_simplified(7, seed=3), "d0800a840c059abc3e4c35b97f81ef5d37ba42624b1b68f530381a00d4b67deb"),
@@ -286,9 +295,13 @@ class TestSolveCommand:
          (TspInstance(np.round(gen_random_tsp(7, seed=3).C, 1)),
           "0f1bf681b6824b283c4fa54d2050063f8bc1d06e075d1320234b78a4ca6ae086"),
          (gen_random_tsp(8, seed=4), "2ad7dd10ea434ac186eb950ef1ff56fe62d677001cb644db80668c4048e9fed2"),
-         (every_p_one(gen_random_simplified(9, seed=2, metric=True)),
-          "c6288adc5ad6e7c0a2940ca0e72d491a90aa1d7d9fad0a17ffc8771efc43746f")],
-        ids=["random-7", "metric-9", "gadget-7", "gadget-8", "metric-9-p1"],
+         (with_p(gen_random_simplified(9, seed=2, metric=True), np.ones(9)),
+          "c6288adc5ad6e7c0a2940ca0e72d491a90aa1d7d9fad0a17ffc8771efc43746f"),
+         (with_p(gadget(gen_random_tsp(8, seed=4)), np.random.default_rng(4).random(8)),
+          "f0713ff24343bebc5446765d2aba57577b0d787648bfc7e22c7dca9b19167962"),
+         (with_p(gen_random_simplified(8, seed=5), np.random.default_rng(5).choice([0.0, 0.5, 1.0], 8)),
+          "e1a9612fb394c3dae369895e4ca2bfb4a185551576030f709455afa62c7658fa")],
+        ids=["random-7", "metric-9", "gadget-7", "gadget-8", "metric-9-p1", "gadget-8-random-p", "random-8-half-p"],
     )
     def test_exact_stdout_bytes(self, tmp_path, capsys, inst, digest):
         path = tmp_path / "s.json"

@@ -465,12 +465,12 @@ def test_no_kernel_call_exceeds_the_bound(monkeypatch, method, cells):
 
     orientation_costs = solvers._orientation_costs
 
-    def spied_orientation_costs(inst, orients):
-        score = orientation_costs(inst, orients)
+    def spied_orientation_costs(hop, p, orients):
+        score = orientation_costs(hop, p, orients)
 
         def counted(seqs):
             costs = score(seqs)
-            sizes.append(costs.size * inst.n)  # each cost stands for one n-position candidate row
+            sizes.append(costs.size * len(p))  # each cost stands for one n-position candidate row
             return costs
         return counted
 

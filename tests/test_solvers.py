@@ -248,7 +248,7 @@ def test_reversal_deltas_match_kernel_within_bound(case):
     i, j = np.triu_indices(inst.n)
     estimate = cost + solvers._reversal_deltas(inst, seq, orient, i, j)
     want = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, *solvers._moved(seq, orient, i, j)))
-    assert np.abs(estimate - want).max() <= solvers._rounding_bound(inst)
+    assert np.abs(estimate - want).max() <= solvers._rounding_bound(inst.n, inst.D)
 
 
 def test_local_search_rejects_asymmetric_distances():
@@ -295,8 +295,8 @@ def test_brute_force_screens_one_sequence_of_each_mirror_pair(monkeypatch, n):
     screened = []
     orientation_costs = solvers._orientation_costs
 
-    def spied(inst, orients):
-        score = orientation_costs(inst, orients)
+    def spied(hop, p, orients):
+        score = orientation_costs(hop, p, orients)
 
         def counted(seqs):
             screened.extend(map(tuple, seqs.tolist()))
@@ -309,6 +309,13 @@ def test_brute_force_screens_one_sequence_of_each_mirror_pair(monkeypatch, n):
     assert screened == (seqs if n <= 2 else [s for s in seqs if s[1] < s[-1]])
     assert len(screened) == (1 if n <= 2 else math.factorial(n - 1) // 2)
     assert res.evaluations == math.factorial(n - 1) * 2**n
+
+
+def hop_table(inst):
+    """hop[e, f, o, of]: D from the head of edge e in orientation o to the
+    tail of edge f in orientation of, as brute force builds it."""
+    ends = np.asarray(inst.R)
+    return inst.D[ends[:, None, ::-1, None], ends[:, None, :]]
 
 
 def one_served_edge(inst):
@@ -339,8 +346,8 @@ def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, apa
     orients = evaluate.scenario_matrix(n)[:, ::-1]
     reps = solvers._permutation_rows(n)
     reps = reps[reps[:, 1] < reps[:, -1]]
-    least = solvers._orientation_costs(inst, orients)(reps).min(axis=1)
-    near = reps[least <= least.min() + 3.0 * solvers._rounding_bound(inst)]
+    least = solvers._orientation_costs(hop_table(inst), inst.p, orients)(reps).min(axis=1)
+    near = reps[least <= least.min() + 3.0 * solvers._rounding_bound(n, inst.D)]
     rows = np.unique(np.concatenate([near, near[:, [0, *range(n - 1, 0, -1)]]]), axis=0)
     settled, widths = [], set()
     kernel = solvers.weighted_tour_costs
@@ -528,9 +535,9 @@ def test_held_karp_rows_settle_as_the_screen(inst):
     n = inst.n
     orients = evaluate.scenario_matrix(n)[:, ::-1]
     got = []
-    ends = np.asarray(inst.R)
-    hop = inst.D[ends[:, None, ::-1, None], ends[:, None, :]]  # both orientations, even where neither matters
-    for rows in (solvers._held_karp_rows(hop, solvers._rounding_bound(inst)), solvers._screened_rows(inst, orients)):
+    hop = hop_table(inst)  # both orientations, even where neither matters
+    b = solvers._rounding_bound(n, inst.D)
+    for rows in (solvers._held_karp_rows(hop, b), solvers._screened_rows(hop, inst.p, orients, 3.0 * b)):
         cost, index = solvers._least(inst, rows[:, None], orients)
         i, o = divmod(index, len(orients))
         got.append((repr(cost), tuple(rows[i].tolist()), tuple(orients[o].tolist())))
@@ -559,15 +566,22 @@ def scorer_instance(draw):
 @given(inst=scorer_instance())
 def test_orientation_scorer_matches_kernel_within_bound(inst):
     # every sequence, not only those with edge 0 first, against every orientation;
-    # column x holds edge orientations, so position i of seq takes bit x[seq[i]]
+    # column x holds edge orientations, so position i of seq takes bit x[seq[i]].
+    # The scorer gives hop sums only: the service and wrap terms of each
+    # orientation, which no sequence changes, are added here.
     n = inst.n
     seqs = np.array(list(itertools.permutations(range(n))))
     orients = evaluate.scenario_matrix(n)[:, ::-1]
-    got = solvers._orientation_costs(inst, orients)(seqs)
+    x = orients.astype(int)
+    ends, p = np.asarray(inst.R), inst.p
+    tail, head = ends[np.arange(n), x], ends[np.arange(n), 1 - x]  # [x, e]: edge e in orientation x_e
+    alone = np.array([np.prod(np.delete(1.0 - p, e)) for e in range(n)])  # no other edge served
+    service = (p * inst.D[tail, head] + p * alone * inst.D[head, tail]).sum(axis=1)
+    got = solvers._orientation_costs(hop_table(inst), p, orients)(seqs) + service
     at_positions = orients[:, seqs].transpose(1, 0, 2)  # [k, x, i] = orients[x, seqs[k, i]]
     want = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, seqs[:, None], at_positions))
     assert got.shape == want.shape == (len(seqs), 2**n)
-    assert np.abs(got - want).max() <= solvers._rounding_bound(inst)
+    assert np.abs(got - want).max() <= solvers._rounding_bound(n, inst.D)
 
 
 class TestBruteForceTsp:
