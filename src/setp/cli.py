@@ -36,7 +36,7 @@ def parse_order_spec(spec: str, n: int) -> AprioriOrder:
     orient = []
     for tok in spec.split(","):
         tok = tok.strip()
-        if not tok or tok[-1] not in "+-":
+        if not tok or tok[-1] not in "+-" or tok[:-1] != str(int(tok[:-1])):  # int() also reads "+1" and "1_0"
             raise ValueError("bad order token %r (want e.g. 3+ or 3-)" % tok)
         seq.append(int(tok[:-1]))
         orient.append(0 if tok[-1] == "+" else 1)
@@ -173,14 +173,24 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+# The options each `gen --kind` reads, with the value it takes when one is not given.
+GEN_OPTIONS = {"simplified": {"n": 5, "metric": False}, "tsp": {"n": 5}, "original": {"v": 6, "e": 8, "required": 0}}
+
+
 def cmd_gen(args) -> int:
+    opts = dict(GEN_OPTIONS[args.kind])
+    for opt in ("n", "metric", "v", "e", "required"):
+        if getattr(args, opt) is not None:
+            if opt not in opts:
+                raise ValueError("--kind %s takes no --%s" % (args.kind, opt))
+            opts[opt] = getattr(args, opt)
     if args.kind == "simplified":
-        obj = transforms.gen_random_simplified(args.n, seed=args.seed, metric=args.metric)
+        obj = transforms.gen_random_simplified(opts["n"], seed=args.seed, metric=opts["metric"])
     elif args.kind == "tsp":
-        obj = transforms.gen_random_tsp(args.n, seed=args.seed)
+        obj = transforms.gen_random_tsp(opts["n"], seed=args.seed)
     else:
-        n_req = args.required if args.required else max(1, args.e // 3)
-        obj = transforms.gen_random_original(args.v, args.e, n_req, seed=args.seed)
+        n_req = opts["required"] or max(1, opts["e"] // 3)
+        obj = transforms.gen_random_original(opts["v"], opts["e"], n_req, seed=args.seed)
     if args.out:
         serialize.save(obj, args.out)
         print("instance=%s" % args.out)
@@ -239,12 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--kind", choices=["original", "simplified", "tsp"], required=True)
-    p.add_argument("--n", type=int, default=5, help="edges (simplified) or cities (tsp)")
-    p.add_argument("--v", type=int, default=6, help="vertices (original)")
-    p.add_argument("--e", type=int, default=8, help="edges before depot embedding (original)")
-    p.add_argument("--required", type=int, default=0, help="required edges (original)")
+    p.add_argument("--n", type=int, help="edges (simplified) or cities (tsp), default 5")
+    p.add_argument("--v", type=int, help="vertices (original), default 6")
+    p.add_argument("--e", type=int, help="edges before depot embedding (original), default 8")
+    p.add_argument("--required", type=int, help="required edges (original), default max(1, e // 3)")
     p.add_argument("--seed", type=non_negative(int), default=0)
-    p.add_argument("--metric", action="store_true")
+    p.add_argument("--metric", action="store_true", default=None, help="metric closure of D (simplified)")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_gen)
 

@@ -37,7 +37,7 @@ class OriginalInstance:
         return len(self.required)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: == over its arrays would raise
 class SimplifiedInstance:
     """Complete symmetric distance matrix plus a required perfect matching.
 

@@ -59,10 +59,18 @@ def _orientation_costs(hop: np.ndarray, p: np.ndarray, orients: np.ndarray):
 
 
 def _rounding_bound(n: int, M: np.ndarray) -> float:
-    """Bound on |screen estimate - weighted_tour_costs| for any candidate of
-    either search over n items with distances M: `_reversal_deltas` plus the
-    current cost in local search, `_orientation_costs` plus a constant in
-    brute force.
+    """Bound b on |estimate - (settled value - C)| for every candidate of an
+    exact search over n items with distances M, C one constant per search:
+    local search's `_reversal_deltas` (C: the current cost), the screen's
+    `_orientation_costs` and the Held-Karp prefix-plus-completion sums (C:
+    the service and wrap terms, or 0 against sum() over a city tour).
+
+    Every search keeps the candidates within 3b of its least estimate. A
+    candidate that ties the least settled value V estimates at most
+    V - C + b, b/16 more when the screen estimates its mirror (two kernel
+    values of one exact sum), and a Held-Karp prefix takes the least of its
+    completions, no more than the tie's own; no estimate is below V - C - b.
+    So every tie lies within 2b + b/16 < 3b of the least estimate.
 
     With u = 2^-53 and M read as max|M|, every value is a sum of products of
     probabilities with distances. A position's weights total at most 2 (its
@@ -80,9 +88,9 @@ def _rounding_bound(n: int, M: np.ndarray) -> float:
     kernel's, which holds its rounding of the service and wrap terms the screen
     leaves out: within the bound for n <= 250, far past the n at which
     (n-1)!*2^n candidates can be enumerated. Two kernel values of one exact sum
-    differ by at most 2(8n^2 + 6n)uM <= 28n^2*uM, under a sixteenth of the
-    bound. The bound scales with M, so a rescaled instance keeps the same
-    candidates.
+    differ by at most 2(8n^2 + 6n)uM <= 28n^2*uM, and a Held-Karp sum or
+    sum() of n hops is within n^2*uM of exact. The bound scales with M, so a
+    rescaled instance keeps the same candidates.
     """
     return n**2 * float(np.abs(M).max()) * 2.0**-44
 
@@ -92,13 +100,7 @@ def _least(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> t
     row-major index, in calls of at most BATCH_CELLS cells: (k, n) sequences
     with (k, n) orientations, or (k, 1, n) against (r, n). A NaN never wins; a
     set with no value below inf, an empty one included, raises ValueError.
-
-    A screen within b = `_rounding_bound` of the kernel less a constant C
-    puts every candidate of least kernel value K at or below K - C + b, and
-    none below K - C - b. So local search's window (C = 0), 2b over the least
-    estimate, holds every move that ties K. Brute force's hop sums (C: the
-    service and wrap terms) screen one of each mirror pair, two kernel values
-    of one exact sum (within b/16), so its window is 3b over the least of all.
+    Every caller's window holds each candidate that ties (`_rounding_bound`).
     """
     orients = np.broadcast_to(orients, np.broadcast_shapes(seqs.shape, orients.shape))
     cost, index = np.inf, -1
@@ -125,12 +127,12 @@ def _permutation_rows(m: int) -> np.ndarray:
     return np.hstack([np.zeros((len(perms), 1), dtype=int), perms + 1])
 
 
-def _screened_rows(hop: np.ndarray, p: np.ndarray, orients: np.ndarray, slack: float) -> np.ndarray:
+def _screened_rows(hop: np.ndarray, p: np.ndarray, orients: np.ndarray) -> np.ndarray:
     """Near rows of the screen, sorted: every sequence (0, s_1, ..., s_(n-1))
     whose mirror representative, the one with s_1 < s_(n-1), has some
-    orientation whose hop sum comes within `slack` of the least of all. The
-    representatives are screened in blocks, over all the given orientations
-    at once, by `_orientation_costs`."""
+    orientation whose hop sum comes within the window of `_rounding_bound`
+    of the least of all. The representatives are screened in blocks, over
+    all the given orientations at once, by `_orientation_costs`."""
     n = len(p)
     seqs = _permutation_rows(n)
     mirror = np.r_[0, n - 1 : 0 : -1]  # columns of the mirror sequence
@@ -138,14 +140,14 @@ def _screened_rows(hop: np.ndarray, p: np.ndarray, orients: np.ndarray, slack: f
         seqs = seqs[seqs[:, 1] < seqs[:, -1]]
     score = _orientation_costs(hop, p, orients)
     least = np.concatenate([score(seqs[s]).min(axis=1) for s in _blocks(len(seqs), n << n)])
-    near = seqs[least <= least.min() + slack]
+    near = seqs[least <= least.min() + 3.0 * _rounding_bound(len(hop), hop)]
     return np.unique(np.concatenate([near, near[:, mirror]]), axis=0)
 
 
-def _held_karp_rows(hop: np.ndarray, slack: float) -> np.ndarray:
+def _held_karp_rows(hop: np.ndarray) -> np.ndarray:
     """Near rows of a closed tour through items 0..m, m >= 2, in lexicographic
     order: every sequence (0, s_1, ..., s_m) with some orientation whose hop
-    sum comes within `slack` of the least closed tour V*.
+    sum comes within the window (`_rounding_bound`) of the least tour V*.
 
     hop[e, f, o, of] is the step from item e in orientation o to item f in
     orientation of, with r = hop.shape[2] orientations per item: 2 for the
@@ -160,9 +162,7 @@ def _held_karp_rows(hop: np.ndarray, slack: float) -> np.ndarray:
     in o0 through the unplaced items, is F[unplaced | j, j, r-1-o0, r-1-o],
     with no second table. A search extends every prefix by one unplaced item
     at a time and keeps those whose least prefix + completion, over the
-    orientations of its first and last item, is at most V* + slack. A sum
-    adds at most m + 1 hops of at most M = max|hop|, so it is within
-    2(m + 1)^2*uM of exact, u = 2^-53; each caller derives its slack.
+    orientations of its first and last item, is within the window of V*.
     """
     m, r = len(hop) - 1, hop.shape[2]
     bit = 1 << np.arange(m)
@@ -176,7 +176,7 @@ def _held_karp_rows(hop: np.ndarray, slack: float) -> np.ndarray:
         prev = F[masks[:, None] ^ bit]  # [k, j, i, o0, oi]: paths to item i + 1 that lack item j + 1
         F[masks] = (prev[..., None] + step[:, :, None]).min(axis=(2, 4))
     back = F[:, :, ::-1, ::-1]  # completions: paths read backwards, orientations flipped
-    bound = (F[full] + back[bit, np.arange(m)]).min() + slack  # back[bit]: the closing hop
+    bound = (F[full] + back[bit, np.arange(m)]).min() + 3.0 * _rounding_bound(len(hop), hop)  # back[bit]: closing hop
     seqs, placed = np.zeros((1, 1), dtype=int), np.zeros(1, dtype=int)
     G = np.where(np.eye(r, dtype=bool), 0.0, np.inf)[None]  # G[k, o0, o]: least hop sum of prefix k, ending in o
     for _ in range(m):
@@ -201,8 +201,9 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     orientation flipped, are one cycle driven both ways at the same cost.
 
     A producer of near rows lists, sorted, every sequence with an orientation
-    that may tie the least kernel value, and `_least` re-scores those rows
-    with `weighted_tour_costs`. Exact-cost ties of that kernel go to the
+    that may tie the least kernel value (the window of `_rounding_bound`), and
+    `_least` re-scores those rows with `weighted_tour_costs`, so the result
+    does not depend on the producer. Exact-cost ties of that kernel go to the
     lexicographically smallest (sequence, orient). When no hop
     D[head_e, tail_f], e != f, depends on the orientations (a `tsp_to_setp`
     gadget), no kernel operand does, D being symmetric: every orientation of
@@ -210,16 +211,10 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     only one screened and settled. The producer depends on p:
     - every p = 0, D finite: every kernel value is exactly 0.0, so the first
       candidate wins, and the identity sequence is the one row;
-    - every p = 1, n >= 3 (the TSP gadget): `_held_karp_rows` in O(2^n n^2),
-      with slack b = `_rounding_bound`. With M = max|D| and u = 2^-53, a
-      kernel value is within (8n^2 + 6n)uM <= b/32 of exact, so a candidate
-      that ties the least one has a hop sum within b/16 of the least, and its
-      prefixes, summed within 2n^2*uM = b/256, come within b/16 + b/128 < b;
-    - otherwise `_screened_rows` with slack 3b: the representatives with
+    - every p = 1, n >= 3 (the TSP gadget): `_held_karp_rows` in O(2^n n^2);
+    - otherwise `_screened_rows`: the representatives with
       s_1 < s_(n-1), in blocks, each scored over all orientations at once by
       one product of its hop weights with the hop table (`_orientation_costs`).
-    Each producer's window holds every candidate that ties the least kernel
-    value (see `_least`), so the result does not depend on the producer.
     """
     n = inst.n
     if n > max_n:
@@ -236,13 +231,12 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     between = hop[~np.eye(n, dtype=bool)]
     if (between == between[:, :1, :1]).all():
         hop, orients = hop[:, :, :1, :1], orients[:1]
-    b = _rounding_bound(n, inst.D)
     if not inst.p.any() and np.isfinite(inst.D).all():
         rows = np.arange(n)[None]
     elif n >= 3 and (inst.p == 1.0).all():
-        rows = _held_karp_rows(hop, b)
+        rows = _held_karp_rows(hop)
     else:
-        rows = _screened_rows(hop, inst.p, orients, 3.0 * b)
+        rows = _screened_rows(hop, inst.p, orients)
     cost, index = _least(inst, rows[:, None], orients)
     i, o = divmod(index, len(orients))
     return SolveResult(
@@ -351,10 +345,9 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     lexicographic order (except (0, n-1), which only relabels the cycle), and
     moves to the first neighbor of least cost if it is strictly better. Each
     move counts as one cost evaluation. The moves are screened by
-    `_reversal_deltas`; only those within twice the rounding bound of the
-    least estimate are scored by `weighted_tour_costs`, a window that holds
-    every move tying the kernel's minimum (see `_least`). So order, cost and
-    evaluations are those of scoring every neighbor with the kernel.
+    `_reversal_deltas`; only those within the window of `_rounding_bound`
+    are scored by `weighted_tour_costs`. So order, cost and evaluations are
+    those of scoring every neighbor with the kernel.
     Stops at a local optimum or when `budget` cost evaluations are spent.
     Never returns a cost worse than the initial solution. D must be symmetric.
     """
@@ -371,13 +364,12 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     keep = (pi != 0) | (pj != n - 1)
     move_i = np.concatenate([np.arange(n), pi[keep]])
     move_j = np.concatenate([np.arange(n), pj[keep]])
-    window = 2.0 * _rounding_bound(n, inst.D)
     while evaluations < budget:
         seq = np.asarray(current.sequence)
         orient = np.asarray(current.orient)
         k = min(len(move_i), budget - evaluations)
         delta = _reversal_deltas(inst, seq, orient, move_i[:k], move_j[:k])
-        near = np.flatnonzero(delta <= delta.min() + window)
+        near = np.flatnonzero(delta <= delta.min() + 3.0 * _rounding_bound(n, inst.D))
         s2, o2 = _moved(seq, orient, move_i[near], move_j[near])
         least, best = _least(inst, s2, o2)  # all moves when all tie, as with p = 0
         evaluations += k
@@ -403,18 +395,15 @@ def brute_force_tsp(C: np.ndarray) -> tuple[tuple[int, ...], float]:
     lexicographically smallest tour. ValueError unless 3 <= m <= TSP_GUARD
     and `core.matrix_violations` accepts C (its symmetry gives the reversed
     completions of `_held_karp_rows`). That search, with one orientation per
-    city, lists every tour within b = `_rounding_bound(m, C)` = m^2*M*2^-44,
-    M = max|C|, of the least; the first least edge-by-edge sum wins, as sum()
-    over each tour gives. A tour tying that sum is within 2m^2*uM of the
-    optimum, u = 2^-53, and its prefixes, summed within 2m^2*uM, come within
-    6m^2*uM < b of the least.
+    city, lists every tour in its window; the first least edge-by-edge sum
+    wins, as sum() over each tour gives.
     """
     C = np.asarray(C, dtype=float)
     violations = matrix_violations(C, "cost")
     if violations or not 3 <= len(C) <= TSP_GUARD:
         raise ValueError("; ".join(violations) or "TSP search needs 3 to %d cities, got %d" % (TSP_GUARD, len(C)))
     m = len(C)
-    tours = _held_karp_rows(C[:, :, None, None], _rounding_bound(m, C))
+    tours = _held_karp_rows(C[:, :, None, None])
     costs = np.zeros(len(tours))
     for i in range(m):  # the additions of sum() over the tour's edges, in the same order
         costs += C[tours[:, i], tours[:, (i + 1) % m]]

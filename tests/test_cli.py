@@ -109,6 +109,13 @@ class TestSerialization:
         with pytest.raises(serialize.FormatError):
             serialize.load(path)
 
+    def test_integral_float_id_reads_as_int(self, tmp_path):
+        doc = serialize.to_document(gen_random_original(4, 6, 2, seed=1))
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps(dict(doc, depot=float(doc["depot"]))))
+        depot = serialize.load(path).depot
+        assert (type(depot), depot) == (int, doc["depot"])
+
     @pytest.mark.parametrize(
         "doc",
         [[1, 2], {"map": [1, 2]}, {"map": {"0": 1.5}}, {"map": {"0": True}}, {"map": {"x": 1}}, {},
@@ -408,6 +415,22 @@ class TestGenCommand:
         res = run_cli("gen", "--kind", "original", "--v", "2", "--e", "1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("kind, option", [
+        ("tsp", "--metric"), ("tsp", "--v 99"), ("tsp", "--e 9"), ("tsp", "--required 2"), ("simplified", "--v 6"),
+        ("simplified", "--required 0"), ("original", "--n 5"), ("original", "--metric"),
+    ])
+    def test_option_of_another_kind_is_a_usage_error(self, capsys, kind, option):
+        code, out, err = check_contract(capsys, ["gen", "--kind", kind, *option.split()])
+        assert (code, out, err) == (2, "", "error=--kind %s takes no %s\n" % (kind, option.split()[0]))
+
+    @pytest.mark.parametrize("kind, given", [
+        ("simplified", "--n 5"), ("tsp", "--n 5"), ("original", "--v 6 --e 8 --required 2"),
+        ("original", "--required 0"),
+    ])
+    def test_defaults_when_not_given(self, capsys, kind, given):
+        explicit = check_contract(capsys, ["gen", "--kind", kind, *given.split()])
+        assert explicit == check_contract(capsys, ["gen", "--kind", kind])
+
 
 class TestVerifyCommand:
     def test_oracle_small(self):
@@ -676,6 +699,10 @@ PROBES = [
      1),
     ("tsp-overflow", with_token(BASE["tsp"], "C", 1, "1e999"), ["reduce", "{path}", "--from", "tsp"], 1),
     ("tsp-ragged", json.dumps(dict(BASE["tsp"], C=[[0, 1, 1], [1, 0], [1, 1, 0]])), ["validate", "{path}"], 2),
+    ("order-underscore-index", json.dumps(BASE["simplified21"]),
+     ["evaluate", "{path}", spec(21).replace(",10+,", ",1_0+,")], 2),
+    ("order-signed-index", json.dumps(BASE["simplified"]), ["evaluate", "{path}", "0+,+1+,2+,3+"], 2),
+    ("order-arabic-indic-index", json.dumps(BASE["simplified"]), ["evaluate", "{path}", "\u0660+,1+,2+,3+"], 2),
     ("vertex-map-validate", json.dumps({"format": "setp/1", "kind": "vertex_map", "map": {"0": 0}}),
      ["validate", "{path}"], 2),
 ]

@@ -73,6 +73,23 @@ class TestValidateOriginal:
         assert any("depot" in m for m in msgs)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(vertices=(0, 1, 2, 2)), "duplicate vertex ids"),
+        (dict(dist=(1.0, 1.0)), "dist length 2 != edge count 3"),
+        (dict(edges=((0, 1), (1, 2), (0, 2), (2, 2)), dist=(1.0,) * 4), "self-loop at edge 3 (vertex 2)"),
+        (dict(edges=((0, 1), (1, 2), (0, 2), (2, 7), (7, 2)), dist=(1.0,) * 5), "edge 3 references unknown vertex 7"),
+        (dict(prob=(0.5, 0.5)), "prob length 2 != required count 1"),
+    ],
+    ids=["duplicate-vertex", "dist-length", "self-loop", "unknown-vertex", "prob-length"],
+)
+def test_validate_original_names_the_violation(changes, message):
+    fields = dict(vertices=(0, 1, 2), edges=((0, 1), (1, 2), (0, 2)), dist=(1.0,) * 3, depot=0, required=(0,),
+                  prob=(0.5,))
+    assert message in validate_original(OriginalInstance(**{**fields, **changes}))
+
+
 class TestValidateSimplified:
     def test_minimal_valid(self):
         inst = SimplifiedInstance(D=[[0, 1], [1, 0]], R=[(0, 1)], p=[0.5])
@@ -90,6 +107,10 @@ class TestValidateSimplified:
         inst = SimplifiedInstance(D=D, R=[(0, 1)], p=[0.5])
         assert any("symmetric" in m for m in validate_simplified(inst))
 
+    def test_probability_vector_length(self):
+        inst = SimplifiedInstance(D=[[0, 1], [1, 0]], R=[(0, 1)], p=[0.5, 0.5])
+        assert validate_simplified(inst) == ["probability vector length 2 != |R| = 1"]
+
     def test_no_required_edges(self):
         assert validate_simplified(SimplifiedInstance(np.zeros((0, 0)), [], [])) == ["required edge set is empty"]
         # a saved empty D reloads with shape (0,): both faults are named
@@ -103,6 +124,14 @@ def test_simplified_instance_freezes_a_copy():
     D[0, 1] = p[0] = 1.0  # the caller's arrays stay writable and are not shared
     assert inst.D[0, 1] == 0.0 and inst.p[0] == 0.5
     assert not inst.D.flags.writeable and not inst.p.flags.writeable
+
+
+def test_simplified_instances_compare_by_identity():
+    # as TspInstance does: a generated == over the arrays raised ValueError, and hash() TypeError
+    a = SimplifiedInstance(D=[[0, 1], [1, 0]], R=[(0, 1)], p=[0.5])
+    b = SimplifiedInstance(D=a.D, R=a.R, p=a.p)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_tsp_instance_freezes_a_copy():

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setp.core import AprioriOrder, SimplifiedInstance, canonicalize, validate_simplified
@@ -407,11 +407,36 @@ def reference_brute_force(inst):
     )
 
 
+def near_tie_instance(seed, n=4, kind="random", probs="tenths"):
+    """Random or metric D, or an all-equal TSP gadget, with p rounded to
+    tenths, drawn from {0, 1/2, 1} or uniform: ties in exact arithmetic whose
+    screened hop sums differ in their last bits, so that only the screen's
+    rounding window keeps all of them."""
+    rng = np.random.default_rng(seed)
+    if kind == "gadget":
+        C = 1 - np.eye(n)
+        inst = tsp_to_setp(TspInstance(C), default_epsilon(C))[0]
+    else:
+        inst = gen_random_simplified(n, seed=seed, metric=kind == "metric")
+    if probs == "tenths":
+        p = np.round(rng.random(n), 1)
+    elif probs == "halves":
+        p = rng.choice([0.0, 0.5, 1.0], n)
+    else:
+        p = rng.random(n)
+    return SimplifiedInstance(D=inst.D, R=inst.R, p=p)
+
+
 @st.composite
 def tie_heavy_instance(draw):
     """Instances with many exact-cost ties: TSP gadgets (orientation never
-    matters), distances from one or two levels, probabilities 0, 1/2 or 1."""
+    matters), distances from one or two levels, probabilities 0, 1/2 or 1;
+    or near ties (`near_tie_instance`)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["random", "metric", "gadget"]))
+        probs = draw(st.sampled_from(["uniform"] if kind == "gadget" else ["tenths", "halves"]))
+        return near_tie_instance(int(rng.integers(2**16)), draw(st.integers(3, 5)), kind, probs)
     if draw(st.booleans()):
         m = draw(st.integers(3, 5))
         C = rng.choice(draw(st.sampled_from([(1.0,), (1.0, 2.0)])), size=(m, m))
@@ -427,6 +452,9 @@ def tie_heavy_instance(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(inst=tie_heavy_instance(), chunk_rows=st.one_of(st.none(), st.integers(1, 40)))
+@example(inst=near_tie_instance(25), chunk_rows=None)  # a window of 0 over the screen picks another order
+@example(inst=near_tie_instance(23, kind="metric", probs="halves"), chunk_rows=None)
+@example(inst=near_tie_instance(6, kind="gadget", probs="uniform"), chunk_rows=None)
 def test_brute_force_tie_break_matches_reference(inst, chunk_rows):
     # A small row bound spreads the candidates over many kernel calls, so ties
     # across chunks are decided too.
@@ -536,8 +564,7 @@ def test_held_karp_rows_settle_as_the_screen(inst):
     orients = evaluate.scenario_matrix(n)[:, ::-1]
     got = []
     hop = hop_table(inst)  # both orientations, even where neither matters
-    b = solvers._rounding_bound(n, inst.D)
-    for rows in (solvers._held_karp_rows(hop, b), solvers._screened_rows(hop, inst.p, orients, 3.0 * b)):
+    for rows in (solvers._held_karp_rows(hop), solvers._screened_rows(hop, inst.p, orients)):
         cost, index = solvers._least(inst, rows[:, None], orients)
         i, o = divmod(index, len(orients))
         got.append((repr(cost), tuple(rows[i].tolist()), tuple(orients[o].tolist())))
