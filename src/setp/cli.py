@@ -49,25 +49,14 @@ def format_order_spec(order: AprioriOrder) -> str:
     return ",".join("%d%s" % (i, "-" if o else "+") for i, o in zip(order.sequence, order.orient))
 
 
-def positive(convert):
-    """argparse type: `convert` the option's text and require a positive, finite value."""
+def above(convert, low):
+    """argparse type: `convert` the option's text and require a finite value above `low`."""
     def parse(text):
         value = convert(text)
-        if not 0 < value < math.inf:  # NaN fails too
-            raise argparse.ArgumentTypeError("must be positive and finite, got %s" % text)
+        if not low < value < math.inf:  # NaN fails too
+            raise argparse.ArgumentTypeError("must be above %s and finite, got %s" % (low, text))
         return value
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
-def non_negative(convert):
-    """argparse type: `convert` the option's text and require a value of at least 0."""
-    def parse(text):
-        value = convert(text)
-        if not value >= 0:
-            raise argparse.ArgumentTypeError("must be non-negative, got %s" % text)
-        return value
-    parse.__name__ = convert.__name__
     return parse
 
 
@@ -76,6 +65,20 @@ HEURISTIC_BUDGET = 1_000_000
 
 # Scenarios `evaluate --method mc` samples when --samples is not given.
 MC_SAMPLES = 100_000
+
+# For each command with modes: the option that selects the mode, the mode as
+# typed, and the options each mode reads with the value each takes when it is
+# not given. An option of another mode of the command is a usage error.
+MODES = {
+    "evaluate": ("method", "--method %s", {"closed": {}, "enum": {}, "mc": {"samples": MC_SAMPLES, "seed": 0}}),
+    "solve": ("mode", "--%s", {"exact": {}, "heuristic": {"budget": HEURISTIC_BUDGET}}),
+    # original's --required is max(1, e // 3) when not given
+    "gen": ("kind", "--kind %s", {"simplified": {"n": 5, "metric": False}, "tsp": {"n": 5},
+                                  "original": {"v": 6, "e": 8, "required": None}}),
+    "verify": ("suite", "--suite %s", {
+        name: {opt: arg.default for opt, arg in inspect.signature(suite).parameters.items()}
+        for name, suite in verify.SUITES.items()}),
+}
 
 # The kind of each type serialize.load returns.
 KINDS = {OriginalInstance: "original", SimplifiedInstance: "simplified", transforms.TspInstance: "tsp",
@@ -118,9 +121,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.method != "mc" and (args.samples is not None or args.seed is not None):
-        print("error=--samples and --seed apply to --method mc only", file=sys.stderr)
-        return 2
     inst, _ = _reduce(_load(args.path, "original", "simplified"))
     try:
         order = parse_order_spec(args.order, inst.n)
@@ -132,31 +132,27 @@ def cmd_evaluate(args) -> int:
     elif args.method == "enum":
         res = expected_cost_enumeration(order, inst)
     else:
-        samples, seed = args.samples or MC_SAMPLES, args.seed or 0
-        res = expected_cost_monte_carlo(order, inst, samples=samples, seed=seed)
+        res = expected_cost_monte_carlo(order, inst, samples=args.samples, seed=args.seed)
     print("method=%s" % res.method)
     print("value=%r" % res.value)
     if res.method == "monte_carlo":
         print("stderr=%r" % res.stderr)
-        print("samples=%d" % samples)
-        print("seed=%d" % seed)
+        print("samples=%d" % args.samples)
+        print("seed=%d" % args.seed)
     return 0
 
 
 def cmd_solve(args) -> int:
-    if args.exact and args.budget is not None:
-        print("error=--budget applies to --heuristic only", file=sys.stderr)
-        return 2
     inst, _ = _reduce(_load(args.path, "original", "simplified"))
-    if args.exact:
+    if args.mode == "exact":
         result = solvers.brute_force(inst)
     else:
         init = solvers.nearest_neighbor(inst)
-        result = solvers.local_search(inst, init, budget=args.budget or HEURISTIC_BUDGET)
+        result = solvers.local_search(inst, init, budget=args.budget)
     print("order=%s" % format_order_spec(result.order))
     print("cost=%r" % result.cost.value)
     print("evaluations=%d" % result.evaluations)
-    if not args.exact:
+    if args.mode == "heuristic":
         print("stop=%s" % result.stop, file=sys.stderr)
         print("sweeps=%d" % result.sweeps, file=sys.stderr)
     print("wall_time=%.3fs" % result.wall_time, file=sys.stderr)
@@ -173,24 +169,14 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-# The options each `gen --kind` reads, with the value it takes when one is not given.
-GEN_OPTIONS = {"simplified": {"n": 5, "metric": False}, "tsp": {"n": 5}, "original": {"v": 6, "e": 8, "required": 0}}
-
-
 def cmd_gen(args) -> int:
-    opts = dict(GEN_OPTIONS[args.kind])
-    for opt in ("n", "metric", "v", "e", "required"):
-        if getattr(args, opt) is not None:
-            if opt not in opts:
-                raise ValueError("--kind %s takes no --%s" % (args.kind, opt))
-            opts[opt] = getattr(args, opt)
     if args.kind == "simplified":
-        obj = transforms.gen_random_simplified(opts["n"], seed=args.seed, metric=opts["metric"])
+        obj = transforms.gen_random_simplified(args.n, seed=args.seed, metric=args.metric)
     elif args.kind == "tsp":
-        obj = transforms.gen_random_tsp(opts["n"], seed=args.seed)
+        obj = transforms.gen_random_tsp(args.n, seed=args.seed)
     else:
-        n_req = opts["required"] or max(1, opts["e"] // 3)
-        obj = transforms.gen_random_original(opts["v"], opts["e"], n_req, seed=args.seed)
+        n_req = max(1, args.e // 3) if args.required is None else args.required
+        obj = transforms.gen_random_original(args.v, args.e, n_req, seed=args.seed)
     if args.out:
         serialize.save(obj, args.out)
         print("instance=%s" % args.out)
@@ -200,12 +186,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = verify.SUITES[args.suite]
-    kwargs = {opt: getattr(args, opt) for opt in ("seeds", "size") if getattr(args, opt) is not None}
-    for opt in kwargs:
-        if opt not in inspect.signature(suite).parameters:
-            raise ValueError("suite %s takes no --%s" % (args.suite, opt))
-    ok, lines = suite(**kwargs)
+    options = MODES["verify"][2][args.suite]
+    ok, lines = verify.SUITES[args.suite](**{opt: getattr(args, opt) for opt in options})
     print("suite=%s" % args.suite)
     for line in lines:
         print(line)
@@ -226,16 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("order", help="comma list of edge indices with +/- orientation, e.g. 0+,2-,1+")
     p.add_argument("--method", choices=["closed", "enum", "mc"], default="closed")
-    p.add_argument("--samples", type=positive(int), default=None,
+    p.add_argument("--samples", type=above(int, 0), default=None,
                    help="Monte Carlo samples for --method mc (default %d)" % MC_SAMPLES)
-    p.add_argument("--seed", type=non_negative(int), default=None, help="Monte Carlo seed for --method mc (default 0)")
+    p.add_argument("--seed", type=above(int, -1), default=None, help="Monte Carlo seed for --method mc (default 0)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("solve", help="optimize the expected cost")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--heuristic", action="store_true")
-    p.add_argument("--budget", type=positive(int), default=None,
+    mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
+    mode.add_argument("--heuristic", dest="mode", action="store_const", const="heuristic")
+    p.add_argument("--budget", type=above(int, 0), default=None,
                    help="cost evaluations for --heuristic (default %d)" % HEURISTIC_BUDGET)
     p.add_argument("path")
     p.set_defaults(func=cmd_solve)
@@ -243,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce tsp/original to the simplified form")
     p.add_argument("path")
     p.add_argument("--from", dest="source", choices=["tsp", "original"], required=True)
-    p.add_argument("--epsilon", type=positive(float), default=None)
+    p.add_argument("--epsilon", type=above(float, 0), default=None)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_reduce)
 
@@ -253,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, help="vertices (original), default 6")
     p.add_argument("--e", type=int, help="edges before depot embedding (original), default 8")
     p.add_argument("--required", type=int, help="required edges (original), default max(1, e // 3)")
-    p.add_argument("--seed", type=non_negative(int), default=0)
+    p.add_argument("--seed", type=above(int, -1), default=0)
     p.add_argument("--metric", action="store_true", default=None, help="metric closure of D (simplified)")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="run a structural verification suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
-    p.add_argument("--seeds", type=positive(int), default=None)
+    p.add_argument("--seeds", type=above(int, 0), default=None)
     p.add_argument("--size", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -269,13 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in MODES:
+        dest, typed, modes = MODES[args.command]
+        reads = modes[getattr(args, dest)]
+        for opt in dict.fromkeys(opt for options in modes.values() for opt in options):
+            if getattr(args, opt) is None:
+                setattr(args, opt, reads.get(opt))
+            elif opt not in reads:
+                print("error=%s takes no --%s" % (typed % getattr(args, dest), opt), file=sys.stderr)
+                return 2
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print("error=%s" % exc, file=sys.stderr)
-        # A file that cannot be read or parsed, and an option value that gen or
-        # verify rejects, are usage errors; any other ValueError, such as an
-        # invalid instance or a solver's size guard, is a domain failure.
+        # An unreadable or malformed file, and a gen or verify option value that
+        # cannot be used or allocated, are usage errors; anything else, such as
+        # an invalid instance or a solver's size guard, is a domain failure.
         usage = isinstance(exc, (OSError, serialize.FormatError)) or args.command in ("gen", "verify")
         return 2 if usage else 1
 

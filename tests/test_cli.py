@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -390,6 +391,37 @@ class TestReduceCommand:
         assert res.returncode == 2
 
 
+# A value of each mode-specific option that its parser accepts; more than one
+# where a usage-error case should try each.
+OPTION_VALUES = {"samples": ["5"], "seed": ["1"], "budget": ["3"], "n": ["5"], "metric": [""], "v": ["6", "99"],
+                 "e": ["9"], "required": ["0", "2"], "seeds": ["7"], "size": ["4"]}
+# (command, mode, option) for each option that another mode of the command reads and `mode` does not.
+FOREIGN_OPTIONS = [
+    (command, mode, ("--%s %s" % (opt, value)).strip())
+    for command, (_, _, modes) in cli.MODES.items() for mode, reads in modes.items()
+    for opt in dict.fromkeys(opt for options in modes.values() for opt in options) if opt not in reads
+    for value in OPTION_VALUES[opt]
+]
+# (command, mode, its options given at their defaults), for every mode but the
+# slow verify suites; original's --required defaults to max(1, e // 3).
+DEFAULT_OPTIONS = [
+    (command, mode, " ".join("--%s %s" % (opt, default) for opt, default in reads.items() if type(default) is int))
+    for command, (_, _, modes) in cli.MODES.items() for mode, reads in modes.items()
+    if command != "verify" or mode in ("bijection", "eulerian-contrast")
+] + [("gen", "original", "--v 6 --e 8 --required 2")]
+
+
+def mode_ids(cases):
+    """Test ids; a gen case is named by its kind and option alone."""
+    return ["-".join(case[1:] if case[0] == "gen" else case) for case in cases]
+
+
+def mode_argv(command, mode, path):
+    """argv that selects `mode` of `command`, with the positional arguments it needs."""
+    positional = {"evaluate": [path, spec(4)], "solve": [path]}.get(command, [])
+    return [command, *positional, *(cli.MODES[command][1] % mode).split()]
+
+
 class TestGenCommand:
     def test_byte_identical_files(self, tmp_path):
         a = tmp_path / "a.json"
@@ -415,21 +447,27 @@ class TestGenCommand:
         res = run_cli("gen", "--kind", "original", "--v", "2", "--e", "1")
         assert res.returncode == 2
 
-    @pytest.mark.parametrize("kind, option", [
-        ("tsp", "--metric"), ("tsp", "--v 99"), ("tsp", "--e 9"), ("tsp", "--required 2"), ("simplified", "--v 6"),
-        ("simplified", "--required 0"), ("original", "--n 5"), ("original", "--metric"),
-    ])
-    def test_option_of_another_kind_is_a_usage_error(self, capsys, kind, option):
-        code, out, err = check_contract(capsys, ["gen", "--kind", kind, *option.split()])
-        assert (code, out, err) == (2, "", "error=--kind %s takes no %s\n" % (kind, option.split()[0]))
+    @pytest.mark.parametrize("required", ["0", "-1"])
+    def test_required_below_one_is_a_usage_error(self, capsys, required):
+        code, out, err = check_contract(capsys, ["gen", "--kind", "original", "--required", required])
+        assert (code, out, err) == (2, "", "error=n_required must be in 1..16\n")
 
-    @pytest.mark.parametrize("kind, given", [
-        ("simplified", "--n 5"), ("tsp", "--n 5"), ("original", "--v 6 --e 8 --required 2"),
-        ("original", "--required 0"),
-    ])
-    def test_defaults_when_not_given(self, capsys, kind, given):
-        explicit = check_contract(capsys, ["gen", "--kind", kind, *given.split()])
-        assert explicit == check_contract(capsys, ["gen", "--kind", kind])
+    # These two cover every mode of every command in cli.MODES, not gen's kinds alone.
+    @pytest.mark.parametrize("command, mode, option", FOREIGN_OPTIONS, ids=mode_ids(FOREIGN_OPTIONS))
+    def test_option_of_another_kind_is_a_usage_error(self, capsys, command, mode, option):
+        code, out, err = check_contract(capsys, [*mode_argv(command, mode, "in.json"), *option.split()])
+        typed = cli.MODES[command][1] % mode
+        assert (code, out, err) == (2, "", "error=%s takes no %s\n" % (typed, option.split()[0]))
+
+    @pytest.mark.parametrize("command, mode, given", DEFAULT_OPTIONS, ids=mode_ids(DEFAULT_OPTIONS))
+    def test_defaults_when_not_given(self, tmp_path, capsys, command, mode, given):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(BASE["simplified"]))
+        argv = mode_argv(command, mode, str(path))
+        runs = [check_contract(capsys, argv + extra.split()) for extra in (given, "")]
+        # solve reports its own run time on stderr
+        explicit, implicit = [(code, out, re.sub("wall_time=.*\n", "", err)) for code, out, err in runs]
+        assert explicit[0] == 0 and explicit == implicit
 
 
 class TestVerifyCommand:
@@ -705,6 +743,11 @@ PROBES = [
     ("order-arabic-indic-index", json.dumps(BASE["simplified"]), ["evaluate", "{path}", "\u0660+,1+,2+,3+"], 2),
     ("vertex-map-validate", json.dumps({"format": "setp/1", "kind": "vertex_map", "map": {"0": 0}}),
      ["validate", "{path}"], 2),
+    # each request is more than a process can address on a 64-bit host (64 PiB), so it fails at once
+    ("mc-samples-past-memory", json.dumps(BASE["simplified"]),
+     ["evaluate", "{path}", spec(4), "--method", "mc", "--samples", str(10**17)], 1),
+    ("gen-simplified-past-memory", None, ["gen", "--kind", "simplified", "--n", str(10**8)], 2),
+    ("gen-tsp-past-memory", None, ["gen", "--kind", "tsp", "--n", str(10**8)], 2),
 ]
 
 
@@ -716,7 +759,7 @@ def test_cli_rejects_bad_input(tmp_path, capsys, text, argv, expected):
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
     code, out, err = check_contract(capsys, [a.replace("{path}", str(path)) for a in argv])
     assert code == expected
-    assert ("violation=" in out) == (expected == 1 and "guard" not in err)
+    assert ("violation=" in out) == (expected == 1 and "guard" not in err and "allocate" not in err)
     if "violation=" in out:  # and no epsilon= or instance= line
         assert all(line.startswith("violation=") for line in out.splitlines())
     assert not list(tmp_path.glob("in.json.*"))  # reduce wrote nothing
