@@ -198,6 +198,7 @@ def cmd_verify(args) -> int:
 @functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="setp", description=__doc__)
+    mc, heuristic, gen = MODES["evaluate"][2]["mc"], MODES["solve"][2]["heuristic"], MODES["gen"][2]
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check instance invariants")
@@ -209,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", help="comma list of edge indices with +/- orientation, e.g. 0+,2-,1+")
     p.add_argument("--method", choices=["closed", "enum", "mc"], default="closed")
     p.add_argument("--samples", type=above(int, 0), default=None,
-                   help="Monte Carlo samples for --method mc (default %d)" % MC_SAMPLES)
-    p.add_argument("--seed", type=above(int, -1), default=None, help="Monte Carlo seed for --method mc (default 0)")
+                   help="Monte Carlo samples for --method mc (default %d)" % mc["samples"])
+    p.add_argument("--seed", type=above(int, -1), default=None,
+                   help="Monte Carlo seed for --method mc (default %d)" % mc["seed"])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("solve", help="optimize the expected cost")
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
     mode.add_argument("--heuristic", dest="mode", action="store_const", const="heuristic")
     p.add_argument("--budget", type=above(int, 0), default=None,
-                   help="cost evaluations for --heuristic (default %d)" % HEURISTIC_BUDGET)
+                   help="cost evaluations for --heuristic (default %d)" % heuristic["budget"])
     p.add_argument("path")
     p.set_defaults(func=cmd_solve)
 
@@ -231,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--kind", choices=["original", "simplified", "tsp"], required=True)
-    p.add_argument("--n", type=int, help="edges (simplified) or cities (tsp), default 5")
-    p.add_argument("--v", type=int, help="vertices (original), default 6")
-    p.add_argument("--e", type=int, help="edges before depot embedding (original), default 8")
+    p.add_argument("--n", type=int, help="edges (simplified), default %d, or cities (tsp), default %d"
+                   % (gen["simplified"]["n"], gen["tsp"]["n"]))
+    p.add_argument("--v", type=int, help="vertices (original), default %d" % gen["original"]["v"])
+    p.add_argument("--e", type=int, help="edges before depot embedding (original), default %d" % gen["original"]["e"])
     p.add_argument("--required", type=int, help="required edges (original), default max(1, e // 3)")
     p.add_argument("--seed", type=above(int, -1), default=0)
     p.add_argument("--metric", action="store_true", default=None, help="metric closure of D (simplified)")

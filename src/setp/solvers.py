@@ -63,7 +63,7 @@ def _rounding_bound(n: int, M: np.ndarray) -> float:
     exact search over n items with distances M, C one constant per search:
     local search's `_reversal_deltas` (C: the current cost), the screen's
     `_orientation_costs` and the Held-Karp prefix-plus-completion sums (C:
-    the service and wrap terms, or 0 against sum() over a city tour).
+    the service and wrap terms).
 
     Every search keeps the candidates within 3b of its least estimate. A
     candidate that ties the least settled value V estimates at most
@@ -88,9 +88,9 @@ def _rounding_bound(n: int, M: np.ndarray) -> float:
     kernel's, which holds its rounding of the service and wrap terms the screen
     leaves out: within the bound for n <= 250, far past the n at which
     (n-1)!*2^n candidates can be enumerated. Two kernel values of one exact sum
-    differ by at most 2(8n^2 + 6n)uM <= 28n^2*uM, and a Held-Karp sum or
-    sum() of n hops is within n^2*uM of exact. The bound scales with M, so a
-    rescaled instance keeps the same candidates.
+    differ by at most 2(8n^2 + 6n)uM <= 28n^2*uM, and a Held-Karp sum is
+    within n^2*uM of exact. The bound scales with M, so a rescaled instance
+    keeps the same candidates.
     """
     return n**2 * float(np.abs(M).max()) * 2.0**-44
 
@@ -151,18 +151,18 @@ def _held_karp_rows(hop: np.ndarray) -> np.ndarray:
 
     hop[e, f, o, of] is the step from item e in orientation o to item f in
     orientation of, with r = hop.shape[2] orientations per item: 2 for the
-    edges of an every-p-is-1 instance, 1 for the cities of a TSP or for edges
-    whose hops no orientation changes. F[mask, j, o0, o] is the least hop sum
-    of a path from item 0 in orientation o0 through the items of `mask` (bit
-    j for item j + 1), ending at item j + 1 in orientation o (Held & Karp
-    1962). The table must read the same reversed, hop[e, f, o, of] ==
-    hop[f, e, r-1-of, r-1-o], as a symmetric D or C makes it: then a path
-    driven backwards with every orientation flipped has the same hops, so the
-    least completion of a prefix that ends at item j + 1 in o, back to item 0
-    in o0 through the unplaced items, is F[unplaced | j, j, r-1-o0, r-1-o],
-    with no second table. A search extends every prefix by one unplaced item
-    at a time and keeps those whose least prefix + completion, over the
-    orientations of its first and last item, is within the window of V*.
+    edges of an every-p-is-1 instance, 1 for edges whose hops no orientation
+    changes. F[mask, j, o0, o] is the least hop sum of a path from item 0 in
+    orientation o0 through the items of `mask` (bit j for item j + 1), ending
+    at item j + 1 in orientation o (Held & Karp 1962). The table must read
+    the same reversed, hop[e, f, o, of] == hop[f, e, r-1-of, r-1-o], as a
+    symmetric D makes it: then a path driven backwards with every orientation
+    flipped has the same hops, so the least completion of a prefix that ends
+    at item j + 1 in o, back to item 0 in o0 through the unplaced items, is
+    F[unplaced | j, j, r-1-o0, r-1-o], with no second table. A search extends
+    every prefix by one unplaced item at a time and keeps those whose least
+    prefix + completion, over the orientations of its first and last item, is
+    within the window of V*.
     """
     m, r = len(hop) - 1, hop.shape[2]
     bit = 1 << np.arange(m)
@@ -391,19 +391,16 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
 
 
 def brute_force_tsp(C: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Exact TSP with city 0 fixed: (tour, cost), ties to the
-    lexicographically smallest tour. ValueError unless 3 <= m <= TSP_GUARD
-    and `core.matrix_violations` accepts C (its symmetry gives the reversed
-    completions of `_held_karp_rows`). That search, with one orientation per
-    city, lists every tour in its window; the first least edge-by-edge sum
-    wins, as sum() over each tour gives.
+    """Exact TSP by permutation enumeration with city 0 fixed: (tour, cost),
+    ties to the lexicographically smallest tour. ValueError unless
+    3 <= m <= TSP_GUARD and `core.matrix_violations` accepts C.
     """
     C = np.asarray(C, dtype=float)
     violations = matrix_violations(C, "cost")
     if violations or not 3 <= len(C) <= TSP_GUARD:
         raise ValueError("; ".join(violations) or "TSP search needs 3 to %d cities, got %d" % (TSP_GUARD, len(C)))
     m = len(C)
-    tours = _held_karp_rows(C[:, :, None, None])
+    tours = _permutation_rows(m)
     costs = np.zeros(len(tours))
     for i in range(m):  # the additions of sum() over the tour's edges, in the same order
         costs += C[tours[:, i], tours[:, (i + 1) % m]]

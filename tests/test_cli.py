@@ -422,6 +422,19 @@ def mode_argv(command, mode, path):
     return [command, *positional, *(cli.MODES[command][1] % mode).split()]
 
 
+@pytest.mark.parametrize("command, mode, opt", [
+    ("evaluate", "mc", "samples"), ("evaluate", "mc", "seed"), ("solve", "heuristic", "budget"),
+    ("gen", "simplified", "n"), ("gen", "tsp", "n"), ("gen", "original", "v"), ("gen", "original", "e"),
+])
+def test_help_states_the_default_of_the_table(monkeypatch, command, mode, opt):
+    # The parser reads each stated default from cli.MODES, so --help follows the table.
+    for value in (cli.MODES[command][2][mode][opt], 12345):
+        monkeypatch.setitem(cli.MODES[command][2][mode], opt, value)
+        sub = cli.build_parser.__wrapped__()._subparsers._group_actions[0].choices[command]  # not the cached parser
+        assert "default %d" % value in next(action.help for action in sub._actions if action.dest == opt)
+        sub.format_help()  # argparse %-formats help strings only here
+
+
 class TestGenCommand:
     def test_byte_identical_files(self, tmp_path):
         a = tmp_path / "a.json"

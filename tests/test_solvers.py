@@ -654,8 +654,13 @@ class TestBruteForceTsp:
         with pytest.raises(ValueError, match=match):
             brute_force_tsp(C)
 
-    def test_lists_no_permutation(self, monkeypatch):
-        refuse_the_screen(monkeypatch)
+    def test_shares_no_search_with_brute_force(self, monkeypatch):
+        # The reduction suite checks brute_force's gadget optimum against this
+        # solver, so it must not run brute_force's Held-Karp search.
+        def refused(hop):
+            raise AssertionError("Held-Karp search run")
+
+        monkeypatch.setattr(solvers, "_held_karp_rows", refused)
         assert brute_force_tsp(1 - np.eye(10)) == (tuple(range(10)), 10.0)
 
     def test_square(self):

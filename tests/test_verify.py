@@ -1,8 +1,9 @@
 import inspect
 
+import numpy as np
 import pytest
 
-from setp import evaluate, transforms, verify
+from setp import evaluate, solvers, transforms, verify
 from setp.core import induced_order
 from setp.graph import Multigraph, all_eulerian_tours, all_pairs_shortest_paths
 
@@ -73,3 +74,50 @@ def test_equivalence_margin_is_the_worst_gap():
     ok, lines = verify.equivalence_suite()
     margin = dict(line.split("=") for line in lines)["max_gap_over_slack"]
     assert ok and 0.0 < float(margin) <= 1.0
+
+
+def _scaled_kernel(monkeypatch):
+    kernel = evaluate.weighted_tour_costs
+    monkeypatch.setattr(evaluate, "weighted_tour_costs", lambda *args: kernel(*args) * 1.01)
+
+
+def _swapped_lift(monkeypatch):
+    # a rotation or a reversal would not do: canonical_city_tour undoes both
+    lift = transforms.lift_to_tsp_tour
+
+    def swapped(order, vmap):
+        tour = list(lift(order, vmap))
+        tour[0], tour[1] = tour[1], tour[0]
+        return tuple(tour)
+
+    monkeypatch.setattr(transforms, "lift_to_tsp_tour", swapped)
+
+
+def _constant_direct(monkeypatch):
+    monkeypatch.setattr(evaluate, "_direct_costs", lambda inst: lambda tour: evaluate.ExpectedCost(1.0, "direct"))
+
+
+def _identity_held_karp(monkeypatch):
+    # the one row of the identity sequence, whatever the optimum
+    monkeypatch.setattr(solvers, "_held_karp_rows", lambda hop: np.arange(len(hop))[None])
+
+
+# For each suite in verify.SUITES: a mutation of what it checks, and the options it runs with.
+BROKEN = {
+    "oracle": (_scaled_kernel, {"seeds": 3}),
+    "equivalence": (_scaled_kernel, {"seeds": 3}),
+    "reduction": (_identity_held_karp, {"seeds": 20, "size": 9}),
+    "bijection": (_swapped_lift, {}),
+    "eulerian-contrast": (_constant_direct, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+def test_suite_fails_on_a_wrong_answer(monkeypatch, name):
+    # Each suite's check must bite: with what it checks broken, it reports ok=False.
+    # The reduction case breaks brute_force's Held-Karp search, which only its
+    # brute_force_tsp oracle, sharing no code with that search, can catch.
+    mutate, options = BROKEN[name]
+    assert verify.SUITES[name](**options)[0] is True
+    mutate(monkeypatch)
+    assert verify.SUITES[name](**options)[0] is False
