@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="expected cost of an order")
     p.add_argument("path")
     p.add_argument("order", help="comma list of edge indices with +/- orientation, e.g. 0+,2-,1+")
-    p.add_argument("--method", choices=["closed", "enum", "mc"], default="closed")
+    p.add_argument("--method", choices=sorted(MODES["evaluate"][2]), default="closed")
     p.add_argument("--samples", type=above(int, 0), default=None,
                    help="Monte Carlo samples for --method mc (default %d)" % mc["samples"])
     p.add_argument("--seed", type=above(int, -1), default=None,
@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="optimize the expected cost")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
-    mode.add_argument("--heuristic", dest="mode", action="store_const", const="heuristic")
+    for name in sorted(MODES["solve"][2]):
+        mode.add_argument("--" + name, dest="mode", action="store_const", const=name)
     p.add_argument("--budget", type=above(int, 0), default=None,
                    help="cost evaluations for --heuristic (default %d)" % heuristic["budget"])
     p.add_argument("path")
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--kind", choices=["original", "simplified", "tsp"], required=True)
+    p.add_argument("--kind", choices=sorted(gen), required=True)
     p.add_argument("--n", type=int, help="edges (simplified), default %d, or cities (tsp), default %d"
                    % (gen["simplified"]["n"], gen["tsp"]["n"]))
     p.add_argument("--v", type=int, help="vertices (original), default %d" % gen["original"]["v"])
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="run a structural verification suite")
-    p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
+    p.add_argument("--suite", choices=sorted(MODES["verify"][2]), required=True)
     p.add_argument("--seeds", type=above(int, 0), default=None)
     p.add_argument("--size", type=int, default=None)
     p.set_defaults(func=cmd_verify)

@@ -112,9 +112,7 @@ class EulerianTour:
     steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "steps", tuple((int(e), int(d)) for e, d in self.steps)
-        )
+        object.__setattr__(self, "steps", tuple((int(e), int(d)) for e, d in self.steps))
 
 
 def step_endpoints(step: tuple[int, int], edges: tuple[Edge, ...]) -> tuple[int, int]:

@@ -53,6 +53,8 @@ def hierholzer(g: Multigraph, start: int) -> EulerianTour:
     """
     if not is_eulerian(g):
         raise ValueError("graph is not Eulerian")
+    if start not in g.adjacency:
+        raise ValueError("start vertex %d is not a vertex of the graph" % start)
     if g.degree(start) == 0:
         raise ValueError("start vertex %d has no edges" % start)
     used = [False] * len(g.edges)
@@ -90,6 +92,8 @@ def all_eulerian_tours(g: Multigraph, start: int):
         raise ValueError("tour enumeration limited to 12 edges, got %d" % m)
     if not is_eulerian(g):
         raise ValueError("graph is not Eulerian")
+    if start not in g.adjacency:
+        raise ValueError("start vertex %d is not a vertex of the graph" % start)
     used = [False] * m
     steps: list[tuple[int, int]] = []
 

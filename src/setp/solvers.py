@@ -272,10 +272,11 @@ def nearest_neighbor(inst: SimplifiedInstance, start_edge: int = 0) -> AprioriOr
 
 
 def _moved(seq: np.ndarray, orient: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """(sequence, orientation) rows, one per move: positions i..j reversed and
-    their orientations flipped. i == j is a single orientation flip."""
-    pos = np.arange(len(seq))
+    """Canonical (sequence, orientation) rows, one per move: positions i..j
+    reversed and their orientations flipped, and rotated by j when i == 0, so
+    that the edge at position 0 stays first. i == j is an orientation flip."""
     i, j = i[:, None], j[:, None]
+    pos = (np.arange(len(seq)) + np.where(i == 0, j, 0)) % len(seq)
     inside = (i <= pos) & (pos <= j)
     src = np.where(inside, i + j - pos, pos)
     return seq[src], orient[src] ^ inside
@@ -344,18 +345,20 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     A sweep scores all single flips, then the 2-opt moves (i, j) in
     lexicographic order (except (0, n-1), which only relabels the cycle), and
     moves to the first neighbor of least cost if it is strictly better. Each
-    move counts as one cost evaluation. The moves are screened by
-    `_reversal_deltas`; only those within the window of `_rounding_bound`
-    are scored by `weighted_tour_costs`. So order, cost and evaluations are
-    those of scoring every neighbor with the kernel.
-    Stops at a local optimum or when `budget` cost evaluations are spent.
-    Never returns a cost worse than the initial solution. D must be symmetric.
+    move counts as one cost evaluation. Every neighbor is scored as its
+    canonical order (`_moved`), and that value becomes the cost: each move
+    strictly lowers it, so no order recurs. The moves are screened by
+    `_reversal_deltas`; those within the window of `_rounding_bound` are
+    scored by `weighted_tour_costs`, as if the kernel scored every neighbor.
+    Stops at a local optimum or when `budget` cost evaluations are spent,
+    never worse than the initial solution. D must be symmetric.
     """
     if not np.array_equal(inst.D, inst.D.T):
         raise ValueError("local search needs a symmetric distance matrix")
     t0 = time.perf_counter()
     current = canonicalize(init)
     cost = expected_cost_closed_form(current, inst).value
+    seq, orient = np.asarray(current.sequence), np.asarray(current.orient)
     evaluations = 1
     sweeps = 0
     stop = "budget"
@@ -365,8 +368,6 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     move_i = np.concatenate([np.arange(n), pi[keep]])
     move_j = np.concatenate([np.arange(n), pj[keep]])
     while evaluations < budget:
-        seq = np.asarray(current.sequence)
-        orient = np.asarray(current.orient)
         k = min(len(move_i), budget - evaluations)
         delta = _reversal_deltas(inst, seq, orient, move_i[:k], move_j[:k])
         near = np.flatnonzero(delta <= delta.min() + 3.0 * _rounding_bound(n, inst.D))
@@ -378,10 +379,9 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
             if k == len(move_i):
                 stop = "local_optimum"
             break
-        current = canonicalize(AprioriOrder(s2[best], o2[best]))
-        cost = expected_cost_closed_form(current, inst).value
+        cost, seq, orient = least, s2[best], o2[best]
     return SolveResult(
-        order=current,
+        order=AprioriOrder(seq, orient),
         cost=ExpectedCost(value=cost, method=CLOSED_FORM),
         evaluations=evaluations,
         wall_time=time.perf_counter() - t0,

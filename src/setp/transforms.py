@@ -213,13 +213,13 @@ def gen_random_original(v: int, e: int, n_required: int, seed: int) -> OriginalI
     """Random valid OriginalInstance: random Eulerian graph, embedded depot,
     random required subset with uniform probabilities."""
     g, dist = gen_random_eulerian(v, e, seed)
+    m = len(g.edges)  # the edges that may be required: not the two depot edges
+    if not 1 <= n_required <= m:
+        raise ValueError("n_required must be in 1..%d" % m)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed).spawn(1)[0])
     depot = int(rng.integers(0, v))
     g, dist, v0 = embed_depot(g, dist, depot)
-    m = len(g.edges)
-    if not 1 <= n_required <= m:
-        raise ValueError("n_required must be in 1..%d" % m)
-    required = tuple(int(i) for i in sorted(rng.choice(m - 2, size=n_required, replace=False)))
+    required = tuple(int(i) for i in sorted(rng.choice(m, size=n_required, replace=False)))
     prob = tuple(float(x) for x in rng.random(n_required))
     return OriginalInstance(
         vertices=g.vertices,

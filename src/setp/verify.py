@@ -26,9 +26,7 @@ def oracle_suite(size: int = 10, seeds: int = 50):
     for seed in range(seeds):
         inst = transforms.gen_random_simplified(size, seed=seed, metric=(seed % 2 == 0))
         rng = np.random.default_rng(1000 + seed)
-        seq = tuple(int(i) for i in rng.permutation(size))
-        orient = tuple(int(o) for o in rng.integers(0, 2, size=size))
-        order = canonicalize(AprioriOrder(seq, orient))
+        order = canonicalize(AprioriOrder(rng.permutation(size), rng.integers(0, 2, size=size)))
         cf = evaluate.expected_cost_closed_form(order, inst).value
         en = evaluate.expected_cost_enumeration(order, inst).value
         rel = abs(cf - en) / max(1.0, abs(en))

@@ -435,6 +435,16 @@ def test_help_states_the_default_of_the_table(monkeypatch, command, mode, opt):
         sub.format_help()  # argparse %-formats help strings only here
 
 
+@pytest.mark.parametrize("command", sorted(cli.MODES))
+def test_parser_offers_the_modes_of_the_table(monkeypatch, command):
+    # Each command's choices, or solve's flags, are the table's keys, so a mode added to cli.MODES is offered.
+    dest, _, modes = cli.MODES[command]
+    monkeypatch.setitem(modes, "added", {})
+    sub = cli.build_parser.__wrapped__()._subparsers._group_actions[0].choices[command]  # not the cached parser
+    offered = [mode for action in sub._actions if action.dest == dest for mode in action.choices or [action.const]]
+    assert offered == sorted(modes)
+
+
 class TestGenCommand:
     def test_byte_identical_files(self, tmp_path):
         a = tmp_path / "a.json"
@@ -463,7 +473,7 @@ class TestGenCommand:
     @pytest.mark.parametrize("required", ["0", "-1"])
     def test_required_below_one_is_a_usage_error(self, capsys, required):
         code, out, err = check_contract(capsys, ["gen", "--kind", "original", "--required", required])
-        assert (code, out, err) == (2, "", "error=n_required must be in 1..16\n")
+        assert (code, out, err) == (2, "", "error=n_required must be in 1..14\n")
 
     # These two cover every mode of every command in cli.MODES, not gen's kinds alone.
     @pytest.mark.parametrize("command, mode, option", FOREIGN_OPTIONS, ids=mode_ids(FOREIGN_OPTIONS))
@@ -761,6 +771,9 @@ PROBES = [
      ["evaluate", "{path}", spec(4), "--method", "mc", "--samples", str(10**17)], 1),
     ("gen-simplified-past-memory", None, ["gen", "--kind", "simplified", "--n", str(10**8)], 2),
     ("gen-tsp-past-memory", None, ["gen", "--kind", "tsp", "--n", str(10**8)], 2),
+    # seed 0 draws 4 edges, and the 2 depot edges are never required
+    ("gen-original-required-past-edges", None,
+     ["gen", "--kind", "original", "--v", "3", "--e", "3", "--required", "5"], 2),
 ]
 
 

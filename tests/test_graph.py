@@ -66,6 +66,10 @@ class TestHierholzer:
         with pytest.raises(ValueError):
             hierholzer(Multigraph(range(3), [(0, 1), (1, 2)]), 0)
 
+    def test_unknown_start_vertex_rejected(self):
+        with pytest.raises(ValueError, match="^start vertex 7 is not a vertex of the graph$"):
+            hierholzer(Multigraph(range(3), [(0, 1), (1, 2), (0, 2)]), 7)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_graph_tour_valid(self, seed):
         g, dist = gen_random_eulerian(5, 10, seed)
@@ -92,6 +96,10 @@ class TestAllEulerianTours:
         assert len(tours) == len(set(tours)) > 1
         for t in tours:
             assert validate_tour(t, inst) == []
+
+    def test_unknown_start_vertex_rejected(self):
+        with pytest.raises(ValueError, match="^start vertex 7 is not a vertex of the graph$"):
+            list(all_eulerian_tours(Multigraph(range(3), [(0, 1), (1, 2), (0, 2)]), 7))
 
 
 class TestShortestPaths:

@@ -136,10 +136,45 @@ class TestLocalSearch:
                 close += 1
         assert close >= 0.9 * total
 
+    def test_stops_at_a_local_optimum_on_a_gadget(self):
+        # The move back to an order of exactly equal cost must not read as an improvement.
+        inst = gadget_or_rounded("gadget", 24, seed=1, metric=False)
+        res = local_search(inst, nearest_neighbor(inst))
+        assert res.stop == "local_optimum"
+        assert res.sweeps <= 10
+        assert res.cost.value == 1.9815237992599921
+
+
+def gadget_or_rounded(kind, n, seed, metric):
+    """A `tsp_to_setp` gadget over n random cities, or D rounded to tenths
+    with p drawn from the values `kind`: instances with many exact ties."""
+    if kind == "gadget":
+        tsp = gen_random_tsp(n, seed=seed)
+        return tsp_to_setp(tsp, default_epsilon(tsp.C))[0]
+    base = gen_random_simplified(n, seed=seed, metric=metric)
+    return SimplifiedInstance(D=np.round(base.D, 1), R=base.R, p=np.random.default_rng(seed).choice(kind, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["gadget", (0, 1), (0, 0.5, 1)]),
+    n=st.integers(4, 16),
+    seed=st.integers(0, 2**16),
+    metric=st.booleans(),
+)
+@example(kind="gadget", n=12, seed=12, metric=False)
+@example(kind=(0, 1), n=12, seed=29, metric=True)
+def test_local_search_stops_at_a_local_optimum_on_ties(kind, n, seed, metric):
+    inst = gadget_or_rounded(kind, n, seed, metric)
+    res = local_search(inst, nearest_neighbor(inst), budget=300 * n**2)
+    assert res.stop == "local_optimum"
+    assert res.cost.value == expected_cost_closed_form(res.order, inst).value
+
 
 def reference_local_search(inst, init, budget):
-    """Descent that builds every neighbor as an AprioriOrder and scores it
-    with its own closed-form call; `local_search` must match it exactly."""
+    """Descent that builds every neighbor as a canonical AprioriOrder and
+    scores it with its own closed-form call, the value that becomes the cost
+    of the neighbor it picks; `local_search` must match it exactly."""
 
     def neighbors(order):
         seq = list(order.sequence)
@@ -169,7 +204,7 @@ def reference_local_search(inst, init, budget):
         best_nb = None
         best_cost = cost
         sweeps += 1
-        for nb in neighbors(current):
+        for nb in map(canonicalize, neighbors(current)):
             if evaluations >= budget:
                 complete = False
                 break
@@ -179,8 +214,7 @@ def reference_local_search(inst, init, budget):
                 best_cost = c
                 best_nb = nb
         if best_nb is not None:
-            current = canonicalize(best_nb)
-            cost = expected_cost_closed_form(current, inst).value
+            current, cost = best_nb, best_cost
             improved = True
         elif complete:
             stop = "local_optimum"

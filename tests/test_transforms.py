@@ -254,6 +254,13 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_random_simplified(0, seed=0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_required_edges_exclude_the_depot_edges(self, seed):
+        m = len(gen_random_eulerian(3, 3, seed)[0].edges)
+        assert len(gen_random_original(3, 3, m, seed=seed).required) == m
+        with pytest.raises(ValueError, match=r"^n_required must be in 1\.\.%d$" % m):
+            gen_random_original(3, 3, m + 1, seed=seed)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_original_sweep_validates(self, seed):
         inst = gen_random_original(6, 10, 3, seed=seed)
