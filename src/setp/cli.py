@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="edges (simplified), default %d, or cities (tsp), default %d"
                    % (gen["simplified"]["n"], gen["tsp"]["n"]))
     p.add_argument("--v", type=int, help="vertices (original), default %d" % gen["original"]["v"])
-    p.add_argument("--e", type=int, help="edges before depot embedding (original), default %d" % gen["original"]["e"])
+    p.add_argument("--e", type=int, help="at least this many edges before depot embedding (original); "
+                   "repairing odd degrees may add more, default %d" % gen["original"]["e"])
     p.add_argument("--required", type=int, help="required edges (original), default max(1, e // 3)")
     p.add_argument("--seed", type=above(int, -1), default=0)
     p.add_argument("--metric", action="store_true", default=None, help="metric closure of D (simplified)")

@@ -230,13 +230,12 @@ def expected_cost_monte_carlo(
 
 
 def _composed_costs(inst: OriginalInstance, epsilon: float | None = None):
-    """`expected_cost_original` of one instance as a function of the tour,
-    with the instance simplified once."""
+    """`expected_cost_original` of one instance as a function of the tour's
+    induced order, with the instance simplified once."""
     simp, _ = transforms.simplify(inst, epsilon=epsilon)
 
-    def score(tour: EulerianTour) -> ExpectedCost:
-        order = transforms.attach_depot_edge(induced_order(tour, inst), inst.n)
-        return expected_cost_closed_form(order, simp)
+    def score(order: AprioriOrder) -> ExpectedCost:
+        return expected_cost_closed_form(transforms.attach_depot_edge(order, inst.n), simp)
 
     return score
 
@@ -248,12 +247,12 @@ def expected_cost_original(tour: EulerianTour, inst: OriginalInstance, epsilon: 
     depot edge prepended) and evaluates it in closed form. The depot edge
     contributes at most 2*epsilon to the value.
     """
-    return _composed_costs(inst, epsilon)(tour)
+    return _composed_costs(inst, epsilon)(induced_order(tour, inst))
 
 
 def _direct_costs(inst: OriginalInstance):
     """`expected_cost_original_direct` of one instance as a function of the
-    tour, with its shortest paths computed once."""
+    tour's induced order, with its shortest paths computed once."""
     n = inst.n
     if n > ENUMERATION_GUARD:
         raise ValueError("enumeration over 2^%d scenarios exceeds the guard n <= %d" % (n, ENUMERATION_GUARD))
@@ -264,8 +263,7 @@ def _direct_costs(inst: OriginalInstance):
     # the scenarios of positive probability, each with its probability
     scenarios = [(S, pr) for S in scenario_matrix(n) if (pr := float(np.prod(np.where(S, p, 1.0 - p)))) > 0.0]
 
-    def score(tour: EulerianTour) -> ExpectedCost:
-        order = induced_order(tour, inst)
+    def score(order: AprioriOrder) -> ExpectedCost:
         stops = []  # (required index, tail, head, service length) in tour order; vertices as sp indices
         for k, d in zip(order.sequence, order.orient):
             tail, head = step_endpoints((inst.required[k], d), inst.edges)
@@ -292,4 +290,4 @@ def expected_cost_original_direct(tour: EulerianTour, inst: OriginalInstance) ->
     depot -> first edge, edge -> edge and last edge -> depot via shortest
     paths. Used as the oracle for the simplified composition.
     """
-    return _direct_costs(inst)(tour)
+    return _direct_costs(inst)(induced_order(tour, inst))

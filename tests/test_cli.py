@@ -435,6 +435,13 @@ def test_help_states_the_default_of_the_table(monkeypatch, command, mode, opt):
         sub.format_help()  # argparse %-formats help strings only here
 
 
+def test_help_states_that_e_is_a_minimum():
+    # gen_random_original(3, 3, 1, seed=s) draws 4, 4, 3, 3 and 4 edges for s = 0..4
+    sub = cli.build_parser()._subparsers._group_actions[0].choices["gen"]
+    text = " ".join(sub.format_help().split())
+    assert "at least this many edges before depot embedding (original); repairing odd degrees may add more" in text
+
+
 @pytest.mark.parametrize("command", sorted(cli.MODES))
 def test_parser_offers_the_modes_of_the_table(monkeypatch, command):
     # Each command's choices, or solve's flags, are the table's keys, so a mode added to cli.MODES is offered.
@@ -546,6 +553,22 @@ class TestVerifyCommand:
         res = run_cli("verify", "--suite", "eulerian-contrast")
         assert res.returncode == 0
         assert "cost_spread=" in res.stdout
+
+    # SHA-256 of `verify` stdout, recorded while the original-form evaluators
+    # still read whole tours: scoring each induced order directly must not
+    # change any output.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [(["--suite", "equivalence"], "d5a9ee2a2efc8d7380035f0e94d3246eb13c749a12b9ada5fee6d49d3801cf10"),
+         (["--suite", "equivalence", "--seeds", "200"],
+          "47d093aec8cfb35efe36db0d1d2aa674624aeab5971cb238989d79693bb87319"),
+         (["--suite", "eulerian-contrast"], "37190a6bc5f9a338eab3b81cfdeefea72aa7792e2523457fdb397fa8d8c9d944")],
+        ids=["equivalence", "equivalence-200", "eulerian-contrast"],
+    )
+    def test_suite_stdout_bytes(self, capsys, argv, digest):
+        assert cli.main(["verify", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # A valid document of each kind; the n=10 and n=21 ones reach the exact and
@@ -774,6 +797,8 @@ PROBES = [
     # seed 0 draws 4 edges, and the 2 depot edges are never required
     ("gen-original-required-past-edges", None,
      ["gen", "--kind", "original", "--v", "3", "--e", "3", "--required", "5"], 2),
+    # the generator's "m must be >= 3", reported as a usage error
+    ("gen-tsp-below-three-cities", None, ["gen", "--kind", "tsp", "--n", "2"], 2),
 ]
 
 

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from setp import serialize
 from setp.core import (
     AprioriOrder,
     EulerianTour,
@@ -12,8 +15,11 @@ from setp.core import (
     validate_simplified,
     validate_tour,
 )
-from setp.graph import Multigraph, all_eulerian_tours
-from setp.transforms import TspInstance
+from setp.evaluate import expected_cost_closed_form, expected_cost_monte_carlo, expected_cost_original_direct
+from setp.graph import Multigraph, all_eulerian_tours, hierholzer
+from setp.solvers import nearest_neighbor
+from setp.transforms import (TspInstance, attach_depot_edge, gen_random_original, gen_random_simplified, inject_tsp_tour,
+                             lift_to_tsp_tour)
 
 
 def k3(depot=0, required=(0,), prob=(1.0,)):
@@ -209,3 +215,48 @@ class TestInducedOrder:
                 tuple(d for _, d in steps),
             )
             assert order == canonicalize(raw)
+
+
+SIMPLIFIED = gen_random_simplified(3, seed=0)
+LARGE = gen_random_original(10, 25, 21, seed=0)  # one required edge past the enumeration guard
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: expected_cost_closed_form(AprioriOrder((0, 1), (0, 0)), SIMPLIFIED), ValueError,
+         "order size 2 != instance |R| = 3"),
+        (lambda: expected_cost_closed_form(AprioriOrder((0, 0, 1), (0, 0, 0)), SIMPLIFIED), ValueError,
+         "not a permutation"),
+        (lambda: expected_cost_monte_carlo(AprioriOrder((0, 1, 2), (0, 0, 0)), SIMPLIFIED, samples=0, seed=0),
+         ValueError, "samples must be >= 1"),
+        (lambda: expected_cost_original_direct(hierholzer(Multigraph.from_instance(LARGE), LARGE.depot), LARGE),
+         ValueError, "exceeds the guard n <= 20"),
+        (lambda: Multigraph(range(2), [(0, 5)]), ValueError, "edge 0 references unknown vertex"),
+        (lambda: hierholzer(Multigraph(range(4), [(0, 1), (1, 2), (0, 2)]), 3), ValueError,
+         "start vertex 3 has no edges"),
+        (lambda: next(all_eulerian_tours(Multigraph(range(2), [(0, 1)] * 14), 0)), ValueError,
+         "limited to 12 edges, got 14"),
+        (lambda: next(all_eulerian_tours(Multigraph(range(3), [(0, 1), (1, 2)]), 0)), ValueError,
+         "graph is not Eulerian"),
+        (lambda: nearest_neighbor(SIMPLIFIED, start_edge=SIMPLIFIED.n), ValueError, "start_edge out of range"),
+        (lambda: attach_depot_edge(AprioriOrder((0, 1), (0, 0)), 3), ValueError, "order size 2 != n = 3"),
+        (lambda: lift_to_tsp_tour(AprioriOrder((0, 1), (0, 0)), {0: 0, 1: 0, 2: 0, 3: 0}), ValueError,
+         "repeated city"),
+        (lambda: inject_tsp_tour((0, 0, 1), 3), ValueError, "not a permutation of 0..m-1"),
+        (lambda: serialize.to_document(3.0), TypeError, "cannot serialize"),
+        (lambda: induced_order(EulerianTour(((9, 0),)), k3()), ValueError, "edge id 9 out of range"),
+        (lambda: induced_order(EulerianTour(((0, 0), (0, 1), (1, 0), (2, 1))), k3()), ValueError,
+         "edge 0 used more than once"),
+        (lambda: induced_order(EulerianTour(()), k3()), ValueError, "empty tour"),
+        (lambda: induced_order(EulerianTour(((1, 0), (2, 1), (0, 0))), k3()), ValueError,
+         "step 0 starts at 1, expected 0"),
+    ],
+    ids=["closed-form-size", "closed-form-not-permutation", "mc-no-samples", "direct-past-guard",
+         "unknown-vertex", "start-without-edges", "tours-past-12-edges", "tours-of-a-path", "start-edge-past-n",
+         "depot-edge-size", "lift-repeated-city", "inject-not-permutation", "serialize-float",
+         "tour-edge-out-of-range", "tour-edge-twice", "tour-empty", "tour-wrong-start"],
+)
+def test_library_rejects_bad_arguments(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setp import evaluate, solvers
-from setp.core import AprioriOrder, Scenario, SimplifiedInstance, canonicalize, induced_order
+from setp.core import AprioriOrder, Scenario, SimplifiedInstance, canonicalize, induced_order, validate_tour
 from setp.evaluate import (
     aposteriori_cost,
     expected_cost_closed_form,
@@ -418,6 +418,26 @@ class TestOriginalForm:
             direct = expected_cost_original_direct(tour, inst).value
             composed = expected_cost_original(tour, inst, epsilon=eps).value
             assert abs(direct - composed) <= slack
+
+    @pytest.mark.parametrize("evaluator", [expected_cost_original, expected_cost_original_direct])
+    def test_invalid_tour_rejected(self, evaluator):
+        inst = gen_random_original(4, 5, 2, seed=12)
+        tour = hierholzer(Multigraph.from_instance(inst), inst.depot)
+        short = type(tour)(tour.steps[:-1])
+        with pytest.raises(ValueError) as raised:
+            evaluator(short, inst)
+        assert str(raised.value) == "invalid Eulerian tour: " + "; ".join(validate_tour(short, inst))
+
+    def test_scorers_take_orders(self, monkeypatch):
+        # The public evaluators derive a tour's induced order once; the
+        # per-instance scorers score that order and never read a tour.
+        inst = gen_random_original(4, 5, 2, seed=12)
+        tour = hierholzer(Multigraph.from_instance(inst), inst.depot)
+        order = induced_order(tour, inst)
+        want = expected_cost_original(tour, inst).value, expected_cost_original_direct(tour, inst).value
+        monkeypatch.setattr(evaluate, "induced_order", mock.Mock(side_effect=AssertionError("tour read again")))
+        got = evaluate._composed_costs(inst)(order).value, evaluate._direct_costs(inst)(order).value
+        assert got == want
 
 
 # Batched evaluators and solvers, with the size of the instance each runs on.

@@ -33,9 +33,9 @@ def test_equivalence_scores_each_induced_order_once(monkeypatch):
     def spy(inst):
         score = direct(inst)
 
-        def scored(tour):
-            calls.append((inst, induced_order(tour, inst)))
-            return score(tour)
+        def scored(order):
+            calls.append((inst, order))
+            return score(order)
         return scored
 
     paths = []
