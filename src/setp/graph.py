@@ -83,9 +83,10 @@ def hierholzer(g: Multigraph, start: int) -> EulerianTour:
 
 
 def all_eulerian_tours(g: Multigraph, start: int):
-    """Yield every Eulerian tour of `g` starting and ending at `start`.
+    """An iterator over every Eulerian tour of `g` starting and ending at `start`.
 
-    Exhaustive DFS; guarded to graphs of at most 12 edges.
+    Exhaustive DFS; guarded to graphs of at most 12 edges. The arguments are
+    checked when it is called, not when the first tour is asked for.
     """
     m = len(g.edges)
     if m > 12:
@@ -110,17 +111,29 @@ def all_eulerian_tours(g: Multigraph, start: int):
                 steps.pop()
                 used[eid] = False
 
-    yield from walk(start)
+    return walk(start)
 
 
 def all_pairs_shortest_paths(g: Multigraph, dist, sources=None) -> np.ndarray:
     """Shortest-path distances from `sources` (positions in g.vertices; all of
     them by default) to every vertex, one row per source, columns in
-    sorted-vertex order.
+    sorted-vertex order: `metric_closure` of `length_matrix(g, dist)`, which
+    raises ValueError on a negative or NaN length. That matrix holds both arcs
+    of every edge, so Dijkstra searches it as a directed graph and relaxes each
+    arc once.
+
+    Unreachable pairs come out as +inf (impossible for Eulerian inputs).
+    """
+    return metric_closure(length_matrix(g, dist), sources)
+
+
+def length_matrix(g: Multigraph, dist):
+    """The two-way length matrix of `g` as a scipy CSR matrix over positions in
+    g.vertices: both arcs of every finite edge, each pair of vertices keeping
+    the least of its parallel edges (zero lengths included).
 
     `dist` maps edge id to a nonnegative length; a negative or NaN length
-    raises ValueError. Unreachable pairs come out as +inf (impossible for
-    Eulerian inputs).
+    raises ValueError.
     """
     from scipy.sparse import csr_matrix  # see metric_closure
     k = len(g.vertices)
@@ -137,22 +150,26 @@ def all_pairs_shortest_paths(g: Multigraph, dist, sources=None) -> np.ndarray:
     rows, cols, length = rows[order], cols[order], length[order]
     first = np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]  # the least of parallel edges
     indptr = np.r_[0, np.cumsum(np.bincount(rows[first], minlength=k))]
-    return metric_closure(csr_matrix((length[first], cols[first], indptr), shape=(k, k)), sources)
+    return csr_matrix((length[first], cols[first], indptr), shape=(k, k))
 
 
 def metric_closure(W, sources=None) -> np.ndarray:
     """Shortest-path distances of the undirected graph with length matrix
     `W`: a dense array where +inf marks "no edge", so zero-length edges
     survive, or a scipy sparse matrix whose stored entries, zeros included,
-    are the edges.
+    are arcs and which holds both arcs of every edge, as `length_matrix`
+    builds it. The sparse matrix is searched as a directed graph, so each
+    arc is relaxed once, not again from the transpose.
 
     Returns the rows of `sources` (any sequence of vertex positions, in any
-    order), or the whole closure when it is None. Each row is one Dijkstra
-    run, so a row does not depend on which other rows are asked for.
+    order, or one position for one 1-D row), or the whole closure when it is
+    None. Each row is one Dijkstra run, so a row does not depend on which
+    other rows are asked for.
     """
     # Imported here: scipy.sparse.csgraph takes about 0.3 s to load, over half
     # of `import setp.cli`, and most commands compute no shortest path.
     from scipy.sparse import issparse
     from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
-    G = W if issparse(W) else csgraph_from_dense(W, null_value=np.inf)
-    return shortest_path(G, method="D", directed=False, indices=sources)
+    if issparse(W):
+        return shortest_path(W, method="D", directed=True, indices=sources)
+    return shortest_path(csgraph_from_dense(W, null_value=np.inf), method="D", directed=False, indices=sources)

@@ -13,6 +13,7 @@ from typing import Any
 import numpy as np
 
 from .core import OriginalInstance, SimplifiedInstance
+from .evaluate import _blocks
 from .transforms import TspInstance
 
 FORMAT = "setp/1"
@@ -104,6 +105,12 @@ def from_document(doc: dict[str, Any]):
     raise FormatError("unknown kind %r" % kind)
 
 
+def _bracketed(items, level: int) -> str:
+    """The texts `items` as json.dumps(indent=1) writes a list of them `level` levels deep."""
+    inner = ",\n" + " " * (level + 1)
+    return "[" + inner[1:] + inner.join(items) + "\n" + " " * level + "]"
+
+
 def _array_text(a: np.ndarray, level: int) -> str:
     """`a` as json.dumps(a.tolist(), indent=1) writes it `level` levels deep,
     with each innermost row joined from float.__repr__ in one call."""
@@ -111,18 +118,61 @@ def _array_text(a: np.ndarray, level: int) -> str:
         return float.__repr__(float(a))
     if len(a) == 0:
         return "[]"
-    inner = ",\n" + " " * (level + 1)
     if a.ndim == 1:
-        items = map(float.__repr__, a.tolist())
-    else:
-        items = (_array_text(row, level + 1) for row in a)
-    return "[" + inner[1:] + inner.join(items) + "\n" + " " * level + "]"
+        return _bracketed(map(float.__repr__, a.tolist()), level)
+    if a.shape == (len(a), len(a)):
+        return _bracketed(_square_rows(a, level + 1), level)
+    return _bracketed((_array_text(row, level + 1) for row in a), level)
+
+
+_repr = np.frompyfunc(float.__repr__, 1, 1)  # float.__repr__ of each entry, as an object array
+
+
+def _square_rows(a: np.ndarray, level: int):
+    """The rows of the square float array `a` as `_array_text` writes them
+    `level` levels deep, formatting each mirrored pair once.
+
+    Rows are made in `_blocks(n, n)` blocks. The texts that later blocks read
+    are kept as tiles by (row block, column block); a tile is dropped once its
+    column block's rows are written, and a row's texts once it is written, so
+    no more than about a quarter of the texts is kept at once.
+    """
+    n = len(a)
+    blocks = list(_blocks(n, n))
+    kept = {}
+    for s, rows in enumerate(blocks):
+        texts = _block_texts(a, rows, [kept.pop((t, s)) for t in range(s)])
+        for u in range(s + 1, len(blocks)):
+            kept[s, u] = texts[:, blocks[u]].copy()
+        for r, row in enumerate(texts):
+            yield _bracketed(row.tolist(), level)
+            texts[r] = None
+
+
+def _block_texts(a: np.ndarray, rows: slice, above: list) -> np.ndarray:
+    """The texts of a[rows] as an object array. `above` holds the texts of
+    a[:rows.start, rows] in row-block tiles. An entry below the diagonal takes
+    its mirror's text when the two have the same bits (so -0.0 and 0.0, or
+    floats one ulp apart, are each formatted); the others are formatted."""
+    lo, hi = rows.start, rows.stop
+    texts = np.empty((hi - lo, len(a)), dtype=object)
+    below = np.tri(hi - lo, len(a), lo - 1, dtype=bool)  # column < row
+    texts[~below] = _repr(a[rows][~below])
+    mirror = np.concatenate(above + [texts[:, rows]]).T  # mirror[i, j]: the text of a[j, lo + i]
+    below, part = below[:, :hi], texts[:, :hi]
+    bits = a.view(np.int64)
+    same = below & (bits[rows, :hi] == bits[:hi, rows].T)
+    part[same] = mirror[same]
+    below &= ~same
+    part[below] = _repr(a[rows, :hi][below])
+    return texts
 
 
 def dumps(obj) -> str:
     """The JSON text of `obj`'s document, as json.dumps(indent=1, allow_nan=False,
     default=np.ndarray.tolist) writes it. The pure-Python encoder that indent=1
-    selects is slow on a matrix, so each array is written by `_array_text`."""
+    selects is slow on a matrix, so each array is written by `_array_text`,
+    which formats each mirrored pair of a symmetric matrix once."""
     parts = []  # joined once, so a large array's text is copied only into the result
     for key, value in to_document(obj).items():
         if isinstance(value, np.ndarray):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, canonicalize, validate_tsp
-from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian, metric_closure
+from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian, length_matrix, metric_closure
 
 VertexMap = dict[int, int]
 
@@ -165,6 +165,10 @@ def gen_random_eulerian(v: int, e: int, seed: int):
     Builds a random spanning tree plus extra edges up to `e`, then pairs the
     odd-degree vertices and duplicates the edges along shortest paths between
     them. The result has at least `e` edges. Returns (Multigraph, dist tuple).
+
+    The pairing takes the odd vertices in a shuffled order; each one taken
+    picks the closest of those left as its partner. Dijkstra runs once per
+    pair, from the vertex that picks, on one length matrix built up front.
     """
     if v < 3 or e < v:
         raise ValueError("need v >= 3 and e >= v (got v=%d, e=%d)" % (v, e))
@@ -182,24 +186,24 @@ def gen_random_eulerian(v: int, e: int, seed: int):
     g = Multigraph(range(v), edges)
     odd = [u for u in g.vertices if g.degree(u) % 2 == 1]
     if odd:
-        # g's vertices are 0..v-1, so each is its own column in sp
-        sp = dict(zip(odd, all_pairs_shortest_paths(g, dist, odd)))
+        W = length_matrix(g, dist)  # g's vertices are 0..v-1, so each is its own position
         # greedy pairing: closest remaining partner, duplicate a shortest path
         rng.shuffle(odd)
         while odd:
             a = odd.pop()
+            sp = metric_closure(W, a)  # one Dijkstra, from a alone
             rest = np.asarray(odd)
-            b = int(rest[np.lexsort((rest, sp[a][rest]))[0]])
+            b = int(rest[np.lexsort((rest, sp[rest]))[0]])
             odd.remove(b)
-            # Walk back from b to a. scipy's Dijkstra leaves sp[a,u] <= sp[a,w] + d
+            # Walk back from b to a. scipy's Dijkstra leaves sp[u] <= sp[w] + d
             # on every edge (u, w) of length d, with equality at u's predecessor,
-            # so the edge minimising sp[a,w] + d lies on a shortest path. The
+            # so the edge minimising sp[w] + d lies on a shortest path. The
             # lengths come from rng.random, so they are almost surely positive:
-            # sp[a,.] strictly decreases along the walk, which therefore ends at a.
+            # sp strictly decreases along the walk, which therefore ends at a.
             path = []
             u = b
             while u != a:
-                eid, u = min(g.adjacency[u], key=lambda ew: (sp[a][ew[1]] + dist[ew[0]], ew[0]))
+                eid, u = min(g.adjacency[u], key=lambda ew: (sp[ew[1]] + dist[ew[0]], ew[0]))
                 path.append(eid)
             for eid in reversed(path):
                 edges.append(g.edges[eid])

@@ -239,6 +239,13 @@ LARGE = gen_random_original(10, 25, 21, seed=0)  # one required edge past the en
          "limited to 12 edges, got 14"),
         (lambda: next(all_eulerian_tours(Multigraph(range(3), [(0, 1), (1, 2)]), 0)), ValueError,
          "graph is not Eulerian"),
+        # checked when called, before any tour is asked for
+        (lambda: all_eulerian_tours(Multigraph(range(2), [(0, 1)] * 14), 0), ValueError,
+         "limited to 12 edges, got 14"),
+        (lambda: all_eulerian_tours(Multigraph(range(3), [(0, 1), (1, 2)]), 0), ValueError,
+         "graph is not Eulerian"),
+        (lambda: all_eulerian_tours(Multigraph(range(3), [(0, 1), (1, 2), (0, 2)]), 7), ValueError,
+         "start vertex 7 is not a vertex of the graph"),
         (lambda: nearest_neighbor(SIMPLIFIED, start_edge=SIMPLIFIED.n), ValueError, "start_edge out of range"),
         (lambda: attach_depot_edge(AprioriOrder((0, 1), (0, 0)), 3), ValueError, "order size 2 != n = 3"),
         (lambda: lift_to_tsp_tour(AprioriOrder((0, 1), (0, 0)), {0: 0, 1: 0, 2: 0, 3: 0}), ValueError,
@@ -253,7 +260,8 @@ LARGE = gen_random_original(10, 25, 21, seed=0)  # one required edge past the en
          "step 0 starts at 1, expected 0"),
     ],
     ids=["closed-form-size", "closed-form-not-permutation", "mc-no-samples", "direct-past-guard",
-         "unknown-vertex", "start-without-edges", "tours-past-12-edges", "tours-of-a-path", "start-edge-past-n",
+         "unknown-vertex", "start-without-edges", "tours-past-12-edges", "tours-of-a-path",
+         "tours-past-12-edges-at-call", "tours-of-a-path-at-call", "tours-unknown-start-at-call", "start-edge-past-n",
          "depot-edge-size", "lift-repeated-city", "inject-not-permutation", "serialize-float",
          "tour-edge-out-of-range", "tour-edge-twice", "tour-empty", "tour-wrong-start"],
 )

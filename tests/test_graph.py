@@ -12,6 +12,7 @@ from setp.graph import (
     all_pairs_shortest_paths,
     hierholzer,
     is_eulerian,
+    length_matrix,
 )
 from setp.transforms import gen_random_eulerian
 
@@ -167,3 +168,14 @@ def test_source_rows_equal_full_closure_rows(case):
     rows = all_pairs_shortest_paths(g, dist, sources)
     assert rows.shape == (len(sources), len(g.vertices))
     assert np.array_equal(rows, all_pairs_shortest_paths(g, dist)[sources])
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_multigraphs())
+def test_directed_search_of_two_way_matrix_equals_undirected_search(case):
+    # the matrix holds both arcs of every edge, so relaxing each arc once
+    # gives the same bits as scipy's undirected search, which also walks the transpose
+    from scipy.sparse.csgraph import shortest_path
+    g, dist, _ = case
+    undirected = shortest_path(length_matrix(g, dist), method="D", directed=False)
+    assert np.array_equal(all_pairs_shortest_paths(g, dist), undirected)

@@ -306,6 +306,8 @@ GOLDEN = [
      "c22ace74724d9bcaaf0cdc985b188fc0e081a39dd1d954a70c308661b725b75f"),
     ("original", (300, 900, 20, 4),
      "26f4b12baa15af05544071e553cd1e2b01715461b8cc5e29d4ca1eb43059458b"),
+    ("original", (1000, 3000, 50, 5),
+     "11b2812feb973eec903b4103cebed16e8f659bba96dec395f36cce2ea8ea6a54"),
     ("simplified", (5, 0, False),
      "836141127d870fa8300d8d990daaa69a10d06e8b12f22ed4368c05c87097ddfe"),
     ("simplified", (5, 1, False),
@@ -330,6 +332,8 @@ GOLDEN = [
      "2331a2e347a55677a9e5480b43dacff0a6433f0e2038113db605a3b89f061d10"),
     ("simplify", (300, 900, 20, 4),
      "21242e117e8b9ed952b2dad6558a8f57cd768e53be4dbff6ac0509125d9c9ea2"),
+    ("simplify", (1000, 3000, 50, 5),
+     "c196da4d5bcf1f4d58a8f9280d3703944765d03502eece93cebe069e671cf69b"),
     ("tsp_to_setp", (5, 0),
      "8ae6a673b454e1d19f9467d831ae7a4f31ef8e366422ef88267653183a79cc29"),
     ("tsp_to_setp", (8, 2),

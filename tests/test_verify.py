@@ -46,7 +46,7 @@ def test_equivalence_scores_each_induced_order_once(monkeypatch):
 
     monkeypatch.setattr(evaluate, "_direct_costs", spy)
     monkeypatch.setattr(evaluate, "all_pairs_shortest_paths", counted)
-    monkeypatch.setattr(transforms, "all_pairs_shortest_paths", counted)  # simplify's and the generator's
+    monkeypatch.setattr(transforms, "all_pairs_shortest_paths", counted)  # simplify's; the generator calls metric_closure
     ok, lines = verify.equivalence_suite(seeds=5)
     assert ok
     suite_calls = len(paths)
