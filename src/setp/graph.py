@@ -45,16 +45,21 @@ def is_eulerian(g: Multigraph) -> bool:
     return not eulerian_violations(g.vertices, g.edges)
 
 
+def _check_tour_start(g: Multigraph, start: int) -> None:
+    """Raise ValueError unless `g` is Eulerian and `start` is one of its vertices."""
+    if not is_eulerian(g):
+        raise ValueError("graph is not Eulerian")
+    if start not in g.adjacency:
+        raise ValueError("start vertex %d is not a vertex of the graph" % start)
+
+
 def hierholzer(g: Multigraph, start: int) -> EulerianTour:
     """Build an Eulerian tour from `start`, taking the smallest unused edge id first.
 
     Deterministic for a given edge-id ordering. Raises ValueError on
     non-Eulerian input.
     """
-    if not is_eulerian(g):
-        raise ValueError("graph is not Eulerian")
-    if start not in g.adjacency:
-        raise ValueError("start vertex %d is not a vertex of the graph" % start)
+    _check_tour_start(g, start)
     if g.degree(start) == 0:
         raise ValueError("start vertex %d has no edges" % start)
     used = [False] * len(g.edges)
@@ -91,10 +96,7 @@ def all_eulerian_tours(g: Multigraph, start: int):
     m = len(g.edges)
     if m > 12:
         raise ValueError("tour enumeration limited to 12 edges, got %d" % m)
-    if not is_eulerian(g):
-        raise ValueError("graph is not Eulerian")
-    if start not in g.adjacency:
-        raise ValueError("start vertex %d is not a vertex of the graph" % start)
+    _check_tour_start(g, start)
     used = [False] * m
     steps: list[tuple[int, int]] = []
 
@@ -118,9 +120,7 @@ def all_pairs_shortest_paths(g: Multigraph, dist, sources=None) -> np.ndarray:
     """Shortest-path distances from `sources` (positions in g.vertices; all of
     them by default) to every vertex, one row per source, columns in
     sorted-vertex order: `metric_closure` of `length_matrix(g, dist)`, which
-    raises ValueError on a negative or NaN length. That matrix holds both arcs
-    of every edge, so Dijkstra searches it as a directed graph and relaxes each
-    arc once.
+    raises ValueError on a negative or NaN length.
 
     Unreachable pairs come out as +inf (impossible for Eulerian inputs).
     """
@@ -154,12 +154,12 @@ def length_matrix(g: Multigraph, dist):
 
 
 def metric_closure(W, sources=None) -> np.ndarray:
-    """Shortest-path distances of the undirected graph with length matrix
-    `W`: a dense array where +inf marks "no edge", so zero-length edges
-    survive, or a scipy sparse matrix whose stored entries, zeros included,
-    are arcs and which holds both arcs of every edge, as `length_matrix`
-    builds it. The sparse matrix is searched as a directed graph, so each
-    arc is relaxed once, not again from the transpose.
+    """Shortest-path distances of length matrix `W`: a dense array where +inf
+    marks "no edge", so zero-length edges survive, or a scipy sparse matrix
+    whose stored entries, zeros included, are arcs. Either way W holds both
+    arcs of every edge (a symmetric array does, and `length_matrix` builds
+    the sparse one) and is searched as a directed graph, so each arc is
+    relaxed once, not again from the transpose.
 
     Returns the rows of `sources` (any sequence of vertex positions, in any
     order, or one position for one 1-D row), or the whole closure when it is
@@ -170,6 +170,5 @@ def metric_closure(W, sources=None) -> np.ndarray:
     # of `import setp.cli`, and most commands compute no shortest path.
     from scipy.sparse import issparse
     from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
-    if issparse(W):
-        return shortest_path(W, method="D", directed=True, indices=sources)
-    return shortest_path(csgraph_from_dense(W, null_value=np.inf), method="D", directed=False, indices=sources)
+    G = W if issparse(W) else csgraph_from_dense(W, null_value=np.inf)
+    return shortest_path(G, method="D", directed=True, indices=sources)

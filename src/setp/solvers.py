@@ -226,8 +226,8 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     t0 = time.perf_counter()
     # position 0 as the high bit: orientation rows in lexicographic order
     orients = scenario_matrix(n)[:, ::-1]
-    ends = np.asarray(inst.R, dtype=int)  # ends[e, o]: tail of edge e in orientation o; ends[e, 1 - o]: its head
-    hop = inst.D[ends[:, None, ::-1, None], ends[:, None, :]]  # hop[e, f, o, of]: edge e in o to edge f in of
+    tails, heads, _ = _oriented_rows(inst, np.arange(n)[:, None], [False, True])  # [e, o]: edge e in orientation o
+    hop = inst.D[heads[:, None, :, None], tails[:, None, :]]  # hop[e, f, o, of]: edge e in o to edge f in of
     between = hop[~np.eye(n, dtype=bool)]
     if (between == between[:, :1, :1]).all():
         hop, orients = hop[:, :, :1, :1], orients[:1]
@@ -253,21 +253,21 @@ def nearest_neighbor(inst: SimplifiedInstance, start_edge: int = 0) -> AprioriOr
     n = inst.n
     if not 0 <= start_edge < n:
         raise ValueError("start_edge out of range")
-    ends = np.asarray(inst.R)
+    tails, heads, _ = _oriented_rows(inst, np.arange(n)[:, None], [False, True])  # [e, o]: edge e in orientation o
     free = np.ones(n, dtype=bool)
     free[start_edge] = False
     seq = [start_edge]
     orient = [0]
-    head = ends[start_edge, 1]
+    head = heads[start_edge, 0]
     for _ in range(n - 1):
         left = np.flatnonzero(free)
         # (edge, orientation) rows in index order: the first minimum breaks ties as (D, i, o)
-        k, o = divmod(int(np.argmin(inst.D[head, ends[left]])), 2)
+        k, o = divmod(int(np.argmin(inst.D[head, tails[left]])), 2)
         i = int(left[k])
         free[i] = False
         seq.append(i)
         orient.append(o)
-        head = ends[i, 1 - o]
+        head = heads[i, o]
     return canonicalize(AprioriOrder(tuple(seq), tuple(orient)))
 
 

@@ -13,6 +13,7 @@ from setp.graph import (
     hierholzer,
     is_eulerian,
     length_matrix,
+    metric_closure,
 )
 from setp.transforms import gen_random_eulerian
 
@@ -170,12 +171,29 @@ def test_source_rows_equal_full_closure_rows(case):
     assert np.array_equal(rows, all_pairs_shortest_paths(g, dist)[sources])
 
 
+@st.composite
+def two_way_arrays(draw):
+    """A symmetric dense length array, +inf for "no edge", with zero-length
+    off-diagonal edges, a zero or +inf diagonal, and a list of row positions
+    (any subset, in any order)."""
+    k = draw(st.integers(1, 8))
+    length = st.one_of(st.just(0.0), st.just(np.inf), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
+    i, j = np.triu_indices(k, 1)
+    W = np.full((k, k), np.inf)
+    W[i, j] = W[j, i] = draw(st.lists(length, min_size=len(i), max_size=len(i)))
+    np.fill_diagonal(W, draw(st.sampled_from([0.0, np.inf])))
+    return W, draw(st.lists(st.integers(0, k - 1), unique=True))
+
+
 @settings(max_examples=200, deadline=None)
-@given(connected_multigraphs())
-def test_directed_search_of_two_way_matrix_equals_undirected_search(case):
-    # the matrix holds both arcs of every edge, so relaxing each arc once
+@given(connected_multigraphs(), two_way_arrays())
+def test_directed_search_of_two_way_matrix_equals_undirected_search(case, dense):
+    # both matrices hold both arcs of every edge, so relaxing each arc once
     # gives the same bits as scipy's undirected search, which also walks the transpose
-    from scipy.sparse.csgraph import shortest_path
+    from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
     g, dist, _ = case
     undirected = shortest_path(length_matrix(g, dist), method="D", directed=False)
     assert np.array_equal(all_pairs_shortest_paths(g, dist), undirected)
+    W, sources = dense
+    undirected = shortest_path(csgraph_from_dense(W, null_value=np.inf), method="D", directed=False, indices=sources)
+    assert np.array_equal(metric_closure(W, sources), undirected)

@@ -318,6 +318,8 @@ GOLDEN = [
      "4353a894d5d5dd9a094984058876e278a2e09775ba05304d201b32fe6cc5339c"),
     ("simplified", (12, 2, True),
      "2c6ebc02fdcb2ecd5806f66fa3cc300ce3e2dea39f06b60d1925cd6b470776db"),
+    ("simplified", (300, 4, True),
+     "76bc01c2a744805e987c004c6385f8f600508dd02f3d69eb403e5c844ca9f144"),
     ("tsp", (5, 0),
      "21788efb912318804771c945beac1dc3868b9f553d6f07d72c7ab3cd8f4b1cb3"),
     ("tsp", (5, 1),
