@@ -78,19 +78,28 @@ def _rounding_bound(n: int, M: np.ndarray) -> float:
     so the absolute terms of one tour total at most 2nM; local search's
     crossing terms are pair terms of two tours, at most 2nM. A term of the
     kernel passes through at most 4n + 3 roundings (run products of up to n - 1
-    factors of 1 - w, then n positions and n shifts summed); a term of the
-    local screen through at most 6n + 7 (two skip products, a cumulative sum
-    over outside positions, a sum over the segment). Two kernel values and one
-    screen thus differ by at most (28n^2 + 26n)uM <= 64n^2*uM, an eighth of the
-    bound, for every n. Brute force's hop weights are products of at most n
-    factors, and H @ M sums n(n - 1) hop terms, so a term passes through at
-    most n^2 + n roundings: about 2n^3*uM, and (2n^3 + 10n^2 + 6n)uM with the
-    kernel's, which holds its rounding of the service and wrap terms the screen
-    leaves out: within the bound for n <= 250, far past the n at which
-    (n-1)!*2^n candidates can be enumerated. Two kernel values of one exact sum
-    differ by at most 2(8n^2 + 6n)uM <= 28n^2*uM, and a Held-Karp sum is
-    within n^2*uM of exact. The bound scales with M, so a rescaled instance
-    keeps the same candidates.
+    factors of 1 - w, then n positions and n shifts summed). A term of the
+    local screen (`_crossing_deltas`, from outside position x to segment
+    position y) passes through at most 3n + 6, whatever order its sums take: no term of a sum of n terms meets more than n - 1
+    additions in any summation tree, BLAS blocking and threads included, and a
+    fused multiply-add rounds once where two operations would round twice. Its
+    skip products span disjoint sets of positions other than x and y, at most
+    n roundings in all; the x-sum (a product with D or a suffix sum) and the
+    y-sum (a product with the segment weights or a cumulative sum) at most
+    n - 1 each; the products that form w_x*G and the segment weights w_y*Q,
+    then those with D, the segment weights and the row factor skip[0, i], at
+    most 5; the four-part combination and the sum of both directions 3. Two
+    kernel values and one screen thus differ by at most
+    (22n^2 + 24n)uM <= 64n^2*uM, an eighth of the bound, for every n. Brute
+    force's hop weights are products of at most n factors, and H @ M sums
+    n(n - 1) hop terms, so a term passes through at most n^2 + n roundings:
+    about 2n^3*uM, and (2n^3 + 10n^2 + 6n)uM with the kernel's, which holds
+    its rounding of the service and wrap terms the screen leaves out: within
+    the bound for n <= 250, far past the n at which (n-1)!*2^n candidates can
+    be enumerated. Two kernel values of one exact sum differ by at most
+    2(8n^2 + 6n)uM <= 28n^2*uM, and a Held-Karp sum is within n^2*uM of
+    exact. The bound scales with M, so a rescaled instance keeps the same
+    candidates.
     """
     return n**2 * float(np.abs(M).max()) * 2.0**-44
 
@@ -283,46 +292,48 @@ def _moved(seq: np.ndarray, orient: np.ndarray, i: np.ndarray, j: np.ndarray):
 
 
 def _crossing_deltas(D: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """T[i, k]: change of the pair terms from the k positions before i into
-    the segment i..i+n-k-1 when that segment is reversed and flipped.
+    """T[i, j]: change of the pair terms from the positions outside the
+    segment i..j into it when that segment is reversed and flipped; 0 for
+    i > j.
 
     For an outside position x and a segment position y, the term x -> y goes
     from G(x->i)*Q(i..y-1)*D[b_x, a_y] to G(x->i)*Q(y+1..j)*D[b_x, b_y],
     times w_x*w_y, where G and Q are the probabilities that no position
-    strictly between x and i, or in the range named, is served. Summed over
-    the k nearest x first, every k is one cumulative sum. Built in blocks of
-    start positions i of at most BATCH_CELLS cells per temporary. Moves read
-    only k >= i, since a smaller k wraps the segment past position n-1: a
-    block skips the k below its first start, and its other entries with
-    k < i are meaningless.
+    strictly between x and i, or in the range named, is served. Every O(n^3)
+    sum is a product of n x n matrices, and the screen holds O(n^2) floats:
+    - x < i: G = skip[x+1, i], so into[i, x] = w_x*G sums x by `into @ hop`,
+      hop[x] holding D[b_x, b_y] and D[b_x, a_y]. The new terms then sum y by
+      a product with new[j, y] = w_y*Q(y+1..j), the old ones by a cumulative
+      sum over y of their product with old[i, y] = w_y*Q(i..y-1).
+    - x > j: G = skip[x+1, n]*skip[0, i] factors, so x sums as a suffix sum
+      of w_x*skip[x+1, n]*hop[x] (`after`), and skip[0, i] multiplies row i.
+      The new terms then sum y by a cumulative sum, the old ones by a product
+      with `old`.
     """
     n = len(w)
     q = 1.0 - w
     y = np.arange(n)
-    # skip[u, v]: probability that none of positions u..v-1 is served (1 if v <= u)
-    skip = np.ones((n + 1, n + 1))
-    skip[:n, 1:] = np.cumprod(np.where(y >= y[:, None], q, 1.0), axis=1)
-    new, old = D[np.ix_(b, b)], D[np.ix_(b, a)]
-    m = np.arange(1, n)
-    T = np.zeros((n, n))
-    for rows in _blocks(n, n * n):
-        i = y[rows, None]
-        x = (i - m) % n  # x[:, m - 1]: the m-th position before i
-        gap = np.cumprod(np.concatenate([np.ones_like(x[:, :1], dtype=float), q[x[:, :-1]]], axis=1), axis=1)
-        wx = (w[x] * gap)[..., None]
-        c = max(rows.start, 1) - 1  # column of the block's least m that a move reads
-        j = (i + n - 1 - m[c:])[..., None]  # segment end when its outside holds m positions
-        inside = (i[..., None] <= y) & (y <= j)
-        after = skip[y + 1, np.minimum(j, n - 1) + 1] * np.cumsum(wx * new[x], axis=1)[:, c:]
-        before = skip[i[..., None], y] * np.cumsum(wx * old[x], axis=1)[:, c:]
-        T[rows, c + 1 :] = np.where(inside, w * (after - before), 0.0).sum(axis=-1)
+    # skip[u, v]: probability that none of positions u..v-1 is served, 0 if v < u
+    skip = np.triu(np.ones((n + 1, n + 1)))
+    skip[:n, 1:] *= np.cumprod(np.where(y >= y[:, None], q, 1.0), axis=1)
+    into = skip[1:, :n].T * w  # into[i, x] = w_x*G(x->i), 0 unless x < i
+    new = skip[1:, 1:].T * w  # new[j, y] = w_y*Q(y+1..j), 0 unless y <= j
+    old = skip[:n, :n] * w  # old[i, y] = w_y*Q(i..y-1), 0 unless y >= i
+    hop = D[b[:, None], np.concatenate([b, a])]  # [x, y]: D[b_x, b_y], then [x, n + y]: D[b_x, a_y]
+    before = into @ hop  # [i, y]: sum over x < i
+    T = np.triu(before[:, :n]) @ new.T - np.cumsum(before[:, n:] * old, axis=1)
+    after = np.zeros((n, 2 * n))  # [j, y]: sum over x > j of w_x*skip[x+1, n]*hop[x, y]
+    after[:-1] = np.cumsum((w * skip[1:, n])[:0:-1, None] * hop[:0:-1], axis=0)[::-1]
+    suffix = np.cumsum((new * after[:, :n])[:, ::-1], axis=1)[:, ::-1]  # [j, i]: sum over y >= i
+    T += skip[0, :n, None] * (suffix.T - old @ np.tril(after[:, n:]).T)
     return T
 
 
 def _reversal_deltas(inst: SimplifiedInstance, seq: np.ndarray, orient: np.ndarray, i: np.ndarray, j: np.ndarray):
     """Change of the closed form, up to `_rounding_bound`, of each move
     (i, j), i <= j: positions i..j reversed and their orientations flipped.
-    O(n^3) for all moves of an order.
+    O(n^3) time, in n x n matrix products, and O(n^2) memory for all moves of
+    an order.
 
     D must be symmetric. Then the move keeps every service and wrap term, every
     pair term inside or outside the segment and the skip product over the
@@ -335,8 +346,7 @@ def _reversal_deltas(inst: SimplifiedInstance, seq: np.ndarray, orient: np.ndarr
     a, b, w = _oriented_rows(inst, seq, orient)
     into = _crossing_deltas(inst.D, a, b, w)
     out = _crossing_deltas(inst.D, b[::-1], a[::-1], w[::-1])
-    k = n - 1 - j + i  # positions outside the segment
-    return into[i, k] + out[n - 1 - j, k]
+    return into[i, j] + out[n - 1 - j, n - 1 - i]
 
 
 def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_000_000) -> SolveResult:
@@ -367,10 +377,11 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     keep = (pi != 0) | (pj != n - 1)
     move_i = np.concatenate([np.arange(n), pi[keep]])
     move_j = np.concatenate([np.arange(n), pj[keep]])
+    window = 3.0 * _rounding_bound(n, inst.D)
     while evaluations < budget:
         k = min(len(move_i), budget - evaluations)
         delta = _reversal_deltas(inst, seq, orient, move_i[:k], move_j[:k])
-        near = np.flatnonzero(delta <= delta.min() + 3.0 * _rounding_bound(n, inst.D))
+        near = np.flatnonzero(delta <= delta.min() + window)
         s2, o2 = _moved(seq, orient, move_i[near], move_j[near])
         least, best = _least(inst, s2, o2)  # all moves when all tie, as with p = 0
         evaluations += k

@@ -260,10 +260,10 @@ def test_local_search_matches_per_neighbor_reference_large(n, seed, metric, budg
 
 
 @st.composite
-def screened_order(draw):
+def screened_order(draw, sizes=st.integers(1, 40)):
     """An instance with symmetric D (metric or not, scaled by 1e-8 to 1e8),
     probabilities from {0, 1/2, 1} or uniform, and a random oriented order."""
-    n = draw(st.integers(1, 40))
+    n = draw(sizes)
     seed = draw(st.integers(0, 2**16))
     inst = gen_random_simplified(n, seed=seed, metric=draw(st.booleans()))
     rng = np.random.default_rng(seed)
@@ -283,6 +283,39 @@ def test_reversal_deltas_match_kernel_within_bound(case):
     estimate = cost + solvers._reversal_deltas(inst, seq, orient, i, j)
     want = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, *solvers._moved(seq, orient, i, j)))
     assert np.abs(estimate - want).max() <= solvers._rounding_bound(inst.n, inst.D)
+
+
+# The same up to n=120, with few examples because the kernel scores each of
+# the n(n+1)/2 moved orders.
+@settings(max_examples=4, deadline=None)
+@given(case=screened_order(st.integers(60, 120)))
+def test_reversal_deltas_match_kernel_within_bound_large(case):
+    inst, seq, orient = case
+    cost = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, seq, orient))[0]
+    i, j = np.triu_indices(inst.n)
+    estimate = cost + solvers._reversal_deltas(inst, seq, orient, i, j)
+    want = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, *solvers._moved(seq, orient, i, j)))
+    assert np.abs(estimate - want).max() <= solvers._rounding_bound(inst.n, inst.D)
+
+
+def test_reversal_deltas_hold_no_cubic_temporary():
+    # The screen holds n x n matrices: at n=200 one (n, n, n) temporary alone
+    # would take 64 MB, 50 times D's 1.28 MB.
+    n = 200
+    inst = gen_random_simplified(n, seed=0)
+    rng = np.random.default_rng(0)
+    seq, orient = rng.permutation(n), rng.integers(0, 2, size=n)
+    i, j = np.triu_indices(n)
+    solvers._reversal_deltas(inst, seq, orient, i, j)  # a first call's one-off allocations stay untraced
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        solvers._reversal_deltas(inst, seq, orient, i, j)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * inst.D.nbytes
 
 
 def test_local_search_rejects_asymmetric_distances():
