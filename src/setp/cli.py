@@ -15,14 +15,7 @@ import math
 import sys
 
 from . import serialize, solvers, transforms, verify
-from .core import (
-    AprioriOrder,
-    OriginalInstance,
-    SimplifiedInstance,
-    validate_original,
-    validate_simplified,
-    validate_tsp,
-)
+from .core import AprioriOrder, SimplifiedInstance
 from .evaluate import (
     expected_cost_closed_form,
     expected_cost_enumeration,
@@ -80,20 +73,14 @@ MODES = {
         for name, suite in verify.SUITES.items()}),
 }
 
-# The kind of each type serialize.load returns.
-KINDS = {OriginalInstance: "original", SimplifiedInstance: "simplified", transforms.TspInstance: "tsp",
-         dict: "vertex_map"}
-
-
 def _load(path, *kinds):
     """The instance stored at `path` if it is one of `kinds`; prints one
     violation= line per broken invariant and raises ValueError if it is invalid."""
     inst = serialize.load(path)
-    kind = KINDS[type(inst)]
+    kind = serialize.to_document(inst)["kind"]
     if kind not in kinds:
         raise serialize.FormatError("%s holds a %s document, not %s" % (path, kind, " or ".join(kinds)))
-    check = {"original": validate_original, "simplified": validate_simplified, "tsp": validate_tsp}[kind]
-    violations = check(inst)
+    violations = serialize.KINDS[kind].validate(inst)
     for v in violations:
         print("violation=%s" % v)
     if violations:
@@ -115,7 +102,7 @@ def _reduce(inst, epsilon=None):
 
 
 def cmd_validate(args) -> int:
-    _load(args.path, "original", "simplified", "tsp")
+    _load(args.path, *serialize.KINDS)
     print("OK")
     return 0
 

@@ -8,11 +8,12 @@ JSON floats); NaN and infinities are neither written nor read.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from typing import Any
 
 import numpy as np
 
-from .core import OriginalInstance, SimplifiedInstance
+from .core import OriginalInstance, SimplifiedInstance, validate_original, validate_simplified, validate_tsp
 from .evaluate import _blocks
 from .transforms import TspInstance
 
@@ -21,33 +22,6 @@ FORMAT = "setp/1"
 
 class FormatError(ValueError):
     """Raised for documents that do not parse as a setp/1 instance."""
-
-
-def to_document(obj) -> dict[str, Any]:
-    if isinstance(obj, OriginalInstance):
-        return {
-            "format": FORMAT,
-            "kind": "original",
-            "vertices": list(obj.vertices),
-            "edges": [list(e) for e in obj.edges],
-            "dist": list(obj.dist),
-            "depot": obj.depot,
-            "required": list(obj.required),
-            "prob": list(obj.prob),
-        }
-    if isinstance(obj, SimplifiedInstance):
-        return {
-            "format": FORMAT,
-            "kind": "simplified",
-            "D": obj.D,
-            "R": [list(e) for e in obj.R],
-            "p": obj.p,
-        }
-    if isinstance(obj, TspInstance):
-        return {"format": FORMAT, "kind": "tsp", "C": obj.C}
-    if isinstance(obj, dict):  # a VertexMap
-        return {"format": FORMAT, "kind": "vertex_map", "map": {str(k): int(v) for k, v in obj.items()}}
-    raise TypeError("cannot serialize %r" % type(obj))
 
 
 def _id(x) -> int:
@@ -73,33 +47,53 @@ def _numbers(x):
     return x
 
 
+def _ids(x) -> tuple[int, ...]:
+    return tuple(map(_id, x))
+
+
+def _id_pairs(x) -> tuple[tuple[int, int], ...]:
+    return tuple((_id(u), _id(v)) for u, v in x)
+
+
+def _floats(x) -> tuple[float, ...]:
+    return tuple(map(float, _numbers(x)))
+
+
+Kind = namedtuple("Kind", "type validate fields")
+
+# Every instance kind a document may hold: its type, its validator, and its
+# document fields in order, each with the reader that checks it. A field is
+# written from the attribute of its name, as the instance holds it (json
+# writes a tuple as a list), and read into the keyword argument of its name.
+KINDS = {
+    "original": Kind(OriginalInstance, validate_original, {"vertices": _ids, "edges": _id_pairs, "dist": _floats,
+                                                           "depot": _id, "required": _ids, "prob": _floats}),
+    "simplified": Kind(SimplifiedInstance, validate_simplified, {"D": _numbers, "R": _id_pairs, "p": _numbers}),
+    "tsp": Kind(TspInstance, validate_tsp, {"C": _numbers}),
+}
+
+
+def to_document(obj) -> dict[str, Any]:
+    if isinstance(obj, dict):  # a VertexMap
+        return {"format": FORMAT, "kind": "vertex_map", "map": {str(k): int(v) for k, v in obj.items()}}
+    for kind, row in KINDS.items():
+        if isinstance(obj, row.type):
+            return {"format": FORMAT, "kind": kind, **{name: getattr(obj, name) for name in row.fields}}
+    raise TypeError("cannot serialize %r" % type(obj))
+
+
 def from_document(doc: dict[str, Any]):
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise FormatError("not a %s document" % FORMAT)
     kind = doc.get("kind")
     try:
-        if kind == "original":
-            return OriginalInstance(
-                vertices=tuple(_id(v) for v in doc["vertices"]),
-                edges=tuple((_id(u), _id(v)) for u, v in doc["edges"]),
-                dist=tuple(float(d) for d in _numbers(doc["dist"])),
-                depot=_id(doc["depot"]),
-                required=tuple(_id(e) for e in doc["required"]),
-                prob=tuple(float(q) for q in _numbers(doc["prob"])),
-            )
-        if kind == "simplified":
-            return SimplifiedInstance(
-                D=_numbers(doc["D"]),
-                R=tuple((_id(u), _id(v)) for u, v in doc["R"]),
-                p=_numbers(doc["p"]),
-            )
-        if kind == "tsp":
-            return TspInstance(_numbers(doc["C"]))
         if kind == "vertex_map":  # dict.items rejects a map that is not an object
             vmap = {int(k): _id(v) for k, v in dict.items(doc["map"])}
             if list(map(str, vmap)) != list(doc["map"]):  # int() also reads "01", " 2 ", "+3", "1_0"
                 raise ValueError("a key is not an integer as str() writes it")
             return vmap
+        if isinstance(kind, str) and kind in KINDS:  # a list or object kind is unhashable
+            return KINDS[kind].type(**{name: read(doc[name]) for name, read in KINDS[kind].fields.items()})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError("malformed %s document: %s" % (kind, exc)) from exc
     raise FormatError("unknown kind %r" % kind)
@@ -111,26 +105,22 @@ def _bracketed(items, level: int) -> str:
     return "[" + inner[1:] + inner.join(items) + "\n" + " " * level + "]"
 
 
-def _array_text(a: np.ndarray, level: int) -> str:
-    """`a` as json.dumps(a.tolist(), indent=1) writes it `level` levels deep,
-    with each innermost row joined from float.__repr__ in one call."""
-    if a.ndim == 0:
-        return float.__repr__(float(a))
-    if len(a) == 0:
-        return "[]"
+def _array_text(a: np.ndarray) -> str:
+    """`a`, a non-empty vector or square matrix, as json.dumps(a.tolist(), indent=1)
+    writes it one level deep, with each row joined from float.__repr__ in one call."""
+    if not np.isfinite(a).all():
+        raise ValueError("Out of range float values are not JSON compliant")
     if a.ndim == 1:
-        return _bracketed(map(float.__repr__, a.tolist()), level)
-    if a.shape == (len(a), len(a)):
-        return _bracketed(_square_rows(a, level + 1), level)
-    return _bracketed((_array_text(row, level + 1) for row in a), level)
+        return _bracketed(map(float.__repr__, a.tolist()), 1)
+    return _bracketed(_square_rows(a), 1)
 
 
 _repr = np.frompyfunc(float.__repr__, 1, 1)  # float.__repr__ of each entry, as an object array
 
 
-def _square_rows(a: np.ndarray, level: int):
-    """The rows of the square float array `a` as `_array_text` writes them
-    `level` levels deep, formatting each mirrored pair once.
+def _square_rows(a: np.ndarray):
+    """The rows of the square float array `a` as `_array_text` writes them,
+    formatting each mirrored pair once.
 
     Rows are made in `_blocks(n, n)` blocks. The texts that later blocks read
     are kept as tiles by (row block, column block); a tile is dropped once its
@@ -145,7 +135,7 @@ def _square_rows(a: np.ndarray, level: int):
         for u in range(s + 1, len(blocks)):
             kept[s, u] = texts[:, blocks[u]].copy()
         for r, row in enumerate(texts):
-            yield _bracketed(row.tolist(), level)
+            yield _bracketed(row.tolist(), 2)
             texts[r] = None
 
 
@@ -171,16 +161,15 @@ def _block_texts(a: np.ndarray, rows: slice, above: list) -> np.ndarray:
 def dumps(obj) -> str:
     """The JSON text of `obj`'s document, as json.dumps(indent=1, allow_nan=False,
     default=np.ndarray.tolist) writes it. The pure-Python encoder that indent=1
-    selects is slow on a matrix, so each array is written by `_array_text`,
-    which formats each mirrored pair of a symmetric matrix once."""
+    selects is slow on a matrix, so each non-empty vector or square matrix is
+    written by `_array_text`, which formats each mirrored pair of a symmetric
+    matrix once; every other value goes through json.dumps."""
     parts = []  # joined once, so a large array's text is copied only into the result
     for key, value in to_document(obj).items():
-        if isinstance(value, np.ndarray):
-            if not np.isfinite(value).all():
-                raise ValueError("Out of range float values are not JSON compliant")
-            text = _array_text(value, 1)
+        if isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.size and len(set(value.shape)) == 1:
+            text = _array_text(value)
         else:  # json writes no raw newline inside a string
-            text = json.dumps(value, indent=1, allow_nan=False).replace("\n", "\n ")
+            text = json.dumps(value, indent=1, allow_nan=False, default=np.ndarray.tolist).replace("\n", "\n ")
         parts += [",\n ", json.dumps(key), ": ", text]
     parts[0] = "{\n "
     parts.append("\n}\n")

@@ -321,11 +321,21 @@ def _crossing_deltas(D: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray)
     old = skip[:n, :n] * w  # old[i, y] = w_y*Q(i..y-1), 0 unless y >= i
     hop = D[b[:, None], np.concatenate([b, a])]  # [x, y]: D[b_x, b_y], then [x, n + y]: D[b_x, a_y]
     before = into @ hop  # [i, y]: sum over x < i
-    T = np.triu(before[:, :n]) @ new.T - np.cumsum(before[:, n:] * old, axis=1)
+    del into  # each n x n temporary goes at its last use, and the sums run in place
     after = np.zeros((n, 2 * n))  # [j, y]: sum over x > j of w_x*skip[x+1, n]*hop[x, y]
-    after[:-1] = np.cumsum((w * skip[1:, n])[:0:-1, None] * hop[:0:-1], axis=0)[::-1]
-    suffix = np.cumsum((new * after[:, :n])[:, ::-1], axis=1)[:, ::-1]  # [j, i]: sum over y >= i
-    T += skip[0, :n, None] * (suffix.T - old @ np.tril(after[:, n:]).T)
+    tail = after[-2::-1]  # tail[k] sums x = n-1 down to n-1-k
+    np.multiply((w * skip[1:, n])[:0:-1, None], hop[:0:-1], out=tail)
+    del hop
+    np.cumsum(tail, axis=0, out=tail)
+    T = np.triu(before[:, :n]) @ new.T
+    terms = before[:, n:]  # the old terms, summed over y in place
+    np.multiply(terms, old, out=terms)
+    T -= np.cumsum(terms, axis=1, out=terms)
+    del before, terms
+    suffix = after[:, n - 1 :: -1]  # so after[j, i] becomes the sum over y >= i
+    np.multiply(new[:, ::-1], suffix, out=suffix)
+    np.cumsum(suffix, axis=1, out=suffix)
+    T += skip[0, :n, None] * (after[:, :n].T - old @ np.tril(after[:, n:]).T)
     return T
 
 

@@ -123,6 +123,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             serialize.dumps(obj)
 
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENT_OBJECTS)
+    def test_reader_table_reads_back_what_dumps_writes(self, obj):
+        text = serialize.dumps(obj)
+        assert serialize.dumps(serialize.from_document(json.loads(text))) == text
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -780,7 +786,7 @@ def simplified_doc(**changes):
 # One case per input that used to crash or be scored, and one per invariant
 # check added with them.
 PROBES = [
-    # (id, document text or None for a directory, argv with the path as {path}, exit code)
+    # (id, document text or None for a directory, argv with the path as {path}, exit code[, stderr line])
     ("p-above-one", json.dumps(simplified_doc(p=[1.7, 0.5, 0.5, 0.5])), ["evaluate", "{path}", spec(4)], 1),
     ("broken-matching", json.dumps(simplified_doc(R=[[0, 1], [1, 2], [4, 5], [6, 7]])), ["evaluate", "{path}", spec(4)], 1),
     ("infinity-token-validate", with_token(BASE["simplified"], "D", 1, "Infinity"), ["validate", "{path}"], 2),
@@ -836,17 +842,26 @@ PROBES = [
      ["gen", "--kind", "original", "--v", "3", "--e", "3", "--required", "5"], 2),
     # the generator's "m must be >= 3", reported as a usage error
     ("gen-tsp-below-three-cities", None, ["gen", "--kind", "tsp", "--n", "2"], 2),
+    # a kind that is not a string names no kind, and is not looked up as a key
+    *[("kind-%s" % name, json.dumps(dict(BASE["tsp"], kind=kind)), ["validate", "{path}"], 2,
+       "error=unknown kind %r" % (kind,)) for name, kind in [("list", []), ("object", {"a": 1}), ("null", None)]],
+    # a document without one of its kind's fields
+    *[("no-%s-%s" % (kind, field), json.dumps({k: v for k, v in BASE[kind].items() if k != field}),
+       ["validate", "{path}"], 2, "error=malformed %s document: '%s'" % (kind, field))
+      for kind in ("original", "simplified", "tsp") for field in BASE[kind] if field not in ("format", "kind")],
 ]
 
 
-@pytest.mark.parametrize("text, argv, expected", [p[1:] for p in PROBES], ids=[p[0] for p in PROBES])
-def test_cli_rejects_bad_input(tmp_path, capsys, text, argv, expected):
+@pytest.mark.parametrize("probe", PROBES, ids=[p[0] for p in PROBES])
+def test_cli_rejects_bad_input(tmp_path, capsys, probe):
+    _, text, argv, expected, *error = probe
     path = tmp_path
     if text is not None:
         path = tmp_path / "in.json"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
     code, out, err = check_contract(capsys, [a.replace("{path}", str(path)) for a in argv])
     assert code == expected
+    assert set(error) <= set(err.splitlines()), err
     assert ("violation=" in out) == (expected == 1 and "guard" not in err and "allocate" not in err)
     if "violation=" in out:  # and no epsilon= or instance= line
         assert all(line.startswith("violation=") for line in out.splitlines())
