@@ -11,6 +11,7 @@ from .core import (
     OriginalInstance,
     Scenario,
     SimplifiedInstance,
+    TspInstance,
     canonicalize,
     induced_order,
     validate_original,
@@ -27,7 +28,7 @@ from .evaluate import (
 )
 from .graph import Multigraph, all_pairs_shortest_paths, hierholzer, is_eulerian
 from .solvers import SolveResult, brute_force, local_search, nearest_neighbor
-from .transforms import TspInstance, embed_depot, lift_to_tsp_tour, simplify, tsp_to_setp
+from .transforms import embed_depot, lift_to_tsp_tour, simplify, tsp_to_setp
 
 __all__ = [
     "AprioriOrder",

@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import serialize, solvers, transforms, verify
-from .core import AprioriOrder, SimplifiedInstance
+from .core import AprioriOrder, SimplifiedInstance, TspInstance
 from .evaluate import (
     expected_cost_closed_form,
     expected_cost_enumeration,
@@ -93,7 +93,7 @@ def _reduce(inst, epsilon=None):
     already is simplified); prints the epsilon a reduction used."""
     if isinstance(inst, SimplifiedInstance):
         return inst, None
-    tsp = isinstance(inst, transforms.TspInstance)
+    tsp = isinstance(inst, TspInstance)
     if epsilon is None:
         epsilon = transforms.default_epsilon(inst.C if tsp else inst.dist)
     simp, vmap = (transforms.tsp_to_setp if tsp else transforms.simplify)(inst, epsilon)

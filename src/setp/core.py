@@ -1,4 +1,4 @@
-"""Instance and solution data model for both SETP formulations.
+"""Instance and solution data model for both SETP formulations and the TSP.
 
 Two instance forms are supported: the original form (an Eulerian multigraph
 with a depot and a subset of stochastic required edges) and the simplified
@@ -67,6 +67,22 @@ class SimplifiedInstance:
     @property
     def n(self) -> int:
         return len(self.R)
+
+
+class TspInstance:
+    """TSP cost matrix over cities 0..m-1, read-only; `validate_tsp` checks it."""
+
+    def __init__(self, C):
+        self.C = np.array(C, dtype=float)  # a private copy: freezing it leaves C writable
+        self.C.setflags(write=False)
+
+    @property
+    def m(self) -> int:
+        return self.C.shape[0]
+
+    def tour_cost(self, cities) -> float:
+        cities = list(cities)
+        return float(sum(self.C[cities[i], cities[(i + 1) % len(cities)]] for i in range(len(cities))))
 
 
 @dataclass(frozen=True)
@@ -206,8 +222,8 @@ def matrix_violations(M: np.ndarray, name: str) -> list[str]:
     return violations
 
 
-def validate_tsp(inst) -> list[str]:
-    """Check a `transforms.TspInstance` cost matrix; return one message per violation."""
+def validate_tsp(inst: TspInstance) -> list[str]:
+    """Check a TspInstance cost matrix; return one message per violation."""
     return matrix_violations(inst.C, "cost")
 
 

@@ -13,9 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import OriginalInstance, SimplifiedInstance, validate_original, validate_simplified, validate_tsp
-from .evaluate import _blocks
-from .transforms import TspInstance
+from .core import OriginalInstance, SimplifiedInstance, TspInstance, validate_original, validate_simplified, validate_tsp
 
 FORMAT = "setp/1"
 
@@ -106,12 +104,10 @@ def _bracketed(items, level: int) -> str:
 
 
 def _array_text(a: np.ndarray) -> str:
-    """`a`, a non-empty vector or square matrix, as json.dumps(a.tolist(), indent=1)
-    writes it one level deep, with each row joined from float.__repr__ in one call."""
+    """`a`, a non-empty square float matrix, as json.dumps(a.tolist(), indent=1)
+    writes it one level deep, with each row joined from float.__repr__ texts."""
     if not np.isfinite(a).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    if a.ndim == 1:
-        return _bracketed(map(float.__repr__, a.tolist()), 1)
     return _bracketed(_square_rows(a), 1)
 
 
@@ -122,51 +118,33 @@ def _square_rows(a: np.ndarray):
     """The rows of the square float array `a` as `_array_text` writes them,
     formatting each mirrored pair once.
 
-    Rows are made in `_blocks(n, n)` blocks. The texts that later blocks read
-    are kept as tiles by (row block, column block); a tile is dropped once its
-    column block's rows are written, and a row's texts once it is written, so
-    no more than about a quarter of the texts is kept at once.
+    Row i formats its entries on and above the diagonal into `texts`. An entry
+    left of the diagonal takes its mirror's text, kept in column i, when the
+    two have the same bits (so -0.0 and 0.0, or floats one ulp apart, are each
+    formatted); the others are formatted. Column i is dropped once row i is
+    written, so no more than about a quarter of the texts is kept at once.
     """
     n = len(a)
-    blocks = list(_blocks(n, n))
-    kept = {}
-    for s, rows in enumerate(blocks):
-        texts = _block_texts(a, rows, [kept.pop((t, s)) for t in range(s)])
-        for u in range(s + 1, len(blocks)):
-            kept[s, u] = texts[:, blocks[u]].copy()
-        for r, row in enumerate(texts):
-            yield _bracketed(row.tolist(), 2)
-            texts[r] = None
-
-
-def _block_texts(a: np.ndarray, rows: slice, above: list) -> np.ndarray:
-    """The texts of a[rows] as an object array. `above` holds the texts of
-    a[:rows.start, rows] in row-block tiles. An entry below the diagonal takes
-    its mirror's text when the two have the same bits (so -0.0 and 0.0, or
-    floats one ulp apart, are each formatted); the others are formatted."""
-    lo, hi = rows.start, rows.stop
-    texts = np.empty((hi - lo, len(a)), dtype=object)
-    below = np.tri(hi - lo, len(a), lo - 1, dtype=bool)  # column < row
-    texts[~below] = _repr(a[rows][~below])
-    mirror = np.concatenate(above + [texts[:, rows]]).T  # mirror[i, j]: the text of a[j, lo + i]
-    below, part = below[:, :hi], texts[:, :hi]
     bits = a.view(np.int64)
-    same = below & (bits[rows, :hi] == bits[:hi, rows].T)
-    part[same] = mirror[same]
-    below &= ~same
-    part[below] = _repr(a[rows, :hi][below])
-    return texts
+    texts = np.empty((n, n), dtype=object)
+    for i in range(n):
+        texts[i, i:] = _repr(a[i, i:])
+        left = texts[:i, i]  # the mirrors' texts, overwritten where the bits differ
+        differ = bits[i, :i] != bits[:i, i]
+        left[differ] = _repr(a[i, :i][differ])
+        yield _bracketed(left.tolist() + texts[i, i:].tolist(), 2)
+        texts[:, i] = None
 
 
 def dumps(obj) -> str:
     """The JSON text of `obj`'s document, as json.dumps(indent=1, allow_nan=False,
     default=np.ndarray.tolist) writes it. The pure-Python encoder that indent=1
-    selects is slow on a matrix, so each non-empty vector or square matrix is
-    written by `_array_text`, which formats each mirrored pair of a symmetric
-    matrix once; every other value goes through json.dumps."""
+    selects is slow on a matrix, so each non-empty square matrix is written by
+    `_array_text`, which formats each mirrored pair of a symmetric matrix once;
+    every other value goes through json.dumps."""
     parts = []  # joined once, so a large array's text is copied only into the result
     for key, value in to_document(obj).items():
-        if isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.size and len(set(value.shape)) == 1:
+        if isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[0] == value.shape[1] > 0:
             text = _array_text(value)
         else:  # json writes no raw newline inside a string
             text = json.dumps(value, indent=1, allow_nan=False, default=np.ndarray.tolist).replace("\n", "\n ")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, canonicalize, validate_tsp
+from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, TspInstance, canonicalize, validate_tsp
 from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian, length_matrix, metric_closure
 
 VertexMap = dict[int, int]
@@ -86,22 +86,6 @@ def _split(M, idx, origin, lengths, p):
     R = tuple((2 * i, 2 * i + 1) for i in range(n))
     vmap: VertexMap = {x: int(v) for x, v in enumerate(origin)}
     return SimplifiedInstance(D=D, R=R, p=p), vmap
-
-
-class TspInstance:
-    """TSP cost matrix over cities 0..m-1, read-only; `core.validate_tsp` checks it."""
-
-    def __init__(self, C):
-        self.C = np.array(C, dtype=float)  # a private copy: freezing it leaves C writable
-        self.C.setflags(write=False)
-
-    @property
-    def m(self) -> int:
-        return self.C.shape[0]
-
-    def tour_cost(self, cities) -> float:
-        cities = list(cities)
-        return float(sum(self.C[cities[i], cities[(i + 1) % len(cities)]] for i in range(len(cities))))
 
 
 def tsp_to_setp(tsp: TspInstance, epsilon: float):
