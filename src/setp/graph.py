@@ -162,9 +162,8 @@ def metric_closure(W, sources=None) -> np.ndarray:
     relaxed once, not again from the transpose.
 
     Returns the rows of `sources` (any sequence of vertex positions, in any
-    order, or one position for one 1-D row), or the whole closure when it is
-    None. Each row is one Dijkstra run, so a row does not depend on which
-    other rows are asked for.
+    order), or the whole closure when it is None. Each row is one Dijkstra
+    run, so a row does not depend on which other rows are asked for.
     """
     # Imported here: scipy.sparse.csgraph takes about 0.3 s to load, over half
     # of `import setp.cli`, and most commands compute no shortest path.

@@ -3,10 +3,12 @@ TSP gadget with its solution bijection, and seeded random generators."""
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from .core import AprioriOrder, OriginalInstance, SimplifiedInstance, TspInstance, canonicalize, validate_tsp
-from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian, length_matrix, metric_closure
+from .graph import Multigraph, all_pairs_shortest_paths, is_eulerian, metric_closure
 
 VertexMap = dict[int, int]
 
@@ -151,8 +153,12 @@ def gen_random_eulerian(v: int, e: int, seed: int):
     them. The result has at least `e` edges. Returns (Multigraph, dist tuple).
 
     The pairing takes the odd vertices in a shuffled order; each one taken
-    picks the closest of those left as its partner. Dijkstra runs once per
-    pair, from the vertex that picks, on one length matrix built up front.
+    picks the closest of those left as its partner, the least (distance,
+    vertex id). Each pair costs one search from the vertex that picks, which
+    stops at its partner (`_nearest_left`), so the work stays in the ball the
+    search settles rather than O(v + e) per pair. `graph.metric_closure`
+    cannot do this: scipy's Dijkstra neither stops at the first target nor
+    avoids setting up and returning v-long arrays on every call.
     """
     if v < 3 or e < v:
         raise ValueError("need v >= 3 and e >= v (got v=%d, e=%d)" % (v, e))
@@ -168,26 +174,28 @@ def gen_random_eulerian(v: int, e: int, seed: int):
             edges.append((min(int(a), int(b)), max(int(a), int(b))))
     dist = [float(x) for x in rng.random(len(edges))]
     g = Multigraph(range(v), edges)
-    odd = [u for u in g.vertices if g.degree(u) % 2 == 1]
+    left = [g.degree(u) % 2 == 1 for u in g.vertices]  # odd, not yet paired; g's vertices are 0..v-1
+    odd = [u for u in g.vertices if left[u]]
     if odd:
-        W = length_matrix(g, dist)  # g's vertices are 0..v-1, so each is its own position
         # greedy pairing: closest remaining partner, duplicate a shortest path
         rng.shuffle(odd)
-        while odd:
-            a = odd.pop()
-            sp = metric_closure(W, a)  # one Dijkstra, from a alone
-            rest = np.asarray(odd)
-            b = int(rest[np.lexsort((rest, sp[rest]))[0]])
-            odd.remove(b)
-            # Walk back from b to a. scipy's Dijkstra leaves sp[u] <= sp[w] + d
-            # on every edge (u, w) of length d, with equality at u's predecessor,
-            # so the edge minimising sp[w] + d lies on a shortest path. The
-            # lengths come from rng.random, so they are almost surely positive:
-            # sp strictly decreases along the walk, which therefore ends at a.
+        for a in reversed(odd):  # taken from the end, as list.pop() would
+            if not left[a]:
+                continue
+            left[a] = False
+            b, sp = _nearest_left(g, dist, a, left)
+            left[b] = False
+            # Walk back from b to a. Every vertex at distance <= sp[b] is in
+            # sp, and sp[u] is the least sp[w] + d over the edges (u, w) of
+            # length d, reached at u's predecessor. A vertex missing from sp
+            # lies farther than sp[b] >= sp[u], so it cannot reach that
+            # least sum and counts as +inf. The lengths come from
+            # rng.random, so they are almost surely positive: sp strictly
+            # decreases along the walk, which therefore ends at a.
             path = []
             u = b
             while u != a:
-                eid, u = min(g.adjacency[u], key=lambda ew: (sp[ew[1]] + dist[ew[0]], ew[0]))
+                eid, u = min(g.adjacency[u], key=lambda ew: (sp.get(ew[1], np.inf) + dist[ew[0]], ew[0]))
                 path.append(eid)
             for eid in reversed(path):
                 edges.append(g.edges[eid])
@@ -195,6 +203,37 @@ def gen_random_eulerian(v: int, e: int, seed: int):
         g = Multigraph(range(v), edges)
     assert is_eulerian(g)
     return g, tuple(dist)
+
+
+def _nearest_left(g: Multigraph, dist, a: int, left) -> tuple[int, dict[int, float]]:
+    """Dijkstra from `a` over g's edges of lengths `dist`, stopped once the
+    nearest vertex u with left[u] is settled: the least (distance, id).
+
+    Returns (that vertex, the settled distances). The search settles every
+    vertex at that distance before it stops, since a tie may be settled
+    after a larger id. Each distance is the sum d(u) + dist[eid] that
+    scipy's Dijkstra forms, so the bits are those of `graph.metric_closure`.
+    """
+    adjacency, pop, push, inf = g.adjacency, heapq.heappop, heapq.heappush, np.inf
+    settled: dict[int, float] = {}
+    best = {a: 0.0}
+    heap = [(0.0, a)]
+    found, reach = len(left), inf
+    while heap:
+        d, u = pop(heap)
+        if d > reach:
+            break
+        if u in settled:
+            continue
+        settled[u] = d
+        if left[u] and u < found:
+            found, reach = u, d
+        for eid, w in adjacency[u]:
+            dw = d + dist[eid]
+            if dw < best.get(w, inf):
+                best[w] = dw
+                push(heap, (dw, w))
+    return found, settled
 
 
 def gen_random_original(v: int, e: int, n_required: int, seed: int) -> OriginalInstance:

@@ -869,3 +869,12 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, setp.cli; print('scipy.sparse.csgraph' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
+
+
+def test_gen_original_leaves_scipy_unloaded(tmp_path):
+    """The generator pairs odd vertices by bounded searches of its own, not
+    through scipy's whole-row Dijkstra."""
+    code = "import sys, setp.cli; setp.cli.main(%r); print('scipy.sparse.csgraph' in sys.modules)" % (
+        ["gen", "--kind", "original", "--v", "40", "--e", "120", "-o", str(tmp_path / "o.json")],)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (res.returncode, res.stdout.splitlines()[-1:]) == (0, ["False"]), res.stderr

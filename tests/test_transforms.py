@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setp import graph, serialize
 from setp.core import (
@@ -29,7 +31,7 @@ from setp.transforms import (
     simplify,
     tsp_to_setp,
 )
-from setp.transforms import _split
+from setp.transforms import _nearest_left, _split
 
 
 class TestEmbedDepot:
@@ -230,6 +232,45 @@ class TestLiftInject:
             assert len(seen) == max(1, math.factorial(m - 1) // 2)
 
 
+def reference_eulerian(v, e, seed):
+    """`gen_random_eulerian` by one full Dijkstra (`graph.metric_closure`)
+    per odd pair: the same random graph, then the same greedy pairing, with
+    the partner the least (distance, id) of a whole row and the walk back
+    read off that row."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    perm = rng.permutation(v)
+    for i in range(1, v):
+        a = int(perm[rng.integers(0, i)])
+        edges.append((min(a, int(perm[i])), max(a, int(perm[i]))))
+    while len(edges) < e:
+        a, b = rng.integers(0, v, size=2)
+        if a != b:
+            edges.append((min(int(a), int(b)), max(int(a), int(b))))
+    dist = [float(x) for x in rng.random(len(edges))]
+    g = Multigraph(range(v), edges)
+    odd = [u for u in g.vertices if g.degree(u) % 2 == 1]
+    if odd:
+        W = graph.length_matrix(g, dist)
+        rng.shuffle(odd)
+        while odd:
+            a = odd.pop()
+            (sp,) = graph.metric_closure(W, [a])
+            rest = np.asarray(odd)
+            b = int(rest[np.lexsort((rest, sp[rest]))[0]])
+            odd.remove(b)
+            path = []
+            u = b
+            while u != a:
+                eid, u = min(g.adjacency[u], key=lambda ew: (sp[ew[1]] + dist[ew[0]], ew[0]))
+                path.append(eid)
+            for eid in reversed(path):
+                edges.append(g.edges[eid])
+                dist.append(dist[eid])
+        g = Multigraph(range(v), edges)
+    return g, tuple(dist)
+
+
 class TestGenerators:
     @pytest.mark.parametrize("seed", range(10))
     def test_eulerian_by_construction(self, seed):
@@ -260,6 +301,35 @@ class TestGenerators:
         assert len(gen_random_original(3, 3, m, seed=seed).required) == m
         with pytest.raises(ValueError, match=r"^n_required must be in 1\.\.%d$" % m):
             gen_random_original(3, 3, m + 1, seed=seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 60).flatmap(lambda v: st.tuples(st.just(v), st.integers(v, 4 * v))),
+           st.integers(0, 2**64 - 1))
+    def test_eulerian_matches_full_closure_pairing(self, shape, seed):
+        v, e = shape
+        g, dist = gen_random_eulerian(v, e, seed)
+        ref_g, ref_dist = reference_eulerian(v, e, seed)
+        assert g.edges == ref_g.edges
+        assert dist == ref_dist
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_nearest_left_is_least_of_full_row(self, data):
+        # lengths with many exact ties and zero-length edges, where a tie can
+        # be settled after a larger id
+        k = data.draw(st.integers(2, 9))
+        edges = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+        pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda uv: uv[0] != uv[1])
+        edges += data.draw(st.lists(pairs, max_size=12))
+        dist = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=len(edges), max_size=len(edges)))
+        a = data.draw(st.integers(0, k - 1))
+        b = data.draw(st.integers(0, k - 1).filter(lambda u: u != a))
+        left = [u == b or (u != a and data.draw(st.booleans())) for u in range(k)]
+        g = Multigraph(range(k), edges)
+        (row,) = graph.all_pairs_shortest_paths(g, dist, [a])
+        found, sp = _nearest_left(g, dist, a, left)
+        assert found == min((row[u], u) for u in range(k) if left[u])[1]
+        assert sp == {u: row[u] for u in range(k) if row[u] <= row[found]}
 
     @pytest.mark.parametrize("seed", range(20))
     def test_original_sweep_validates(self, seed):
@@ -308,6 +378,10 @@ GOLDEN = [
      "26f4b12baa15af05544071e553cd1e2b01715461b8cc5e29d4ca1eb43059458b"),
     ("original", (1000, 3000, 50, 5),
      "11b2812feb973eec903b4103cebed16e8f659bba96dec395f36cce2ea8ea6a54"),
+    ("original", (2000, 6000, 150, 6),
+     "a897566748aa4972783da844bbd9604c69131b21ea5951bf2f53e729eb880c57"),
+    ("original", (5000, 15000, 150, 7),
+     "7139db7d0a3efa2026f4d4c0f7effede2c51f3e10deef788e22f15d6241ff954"),
     ("simplified", (5, 0, False),
      "836141127d870fa8300d8d990daaa69a10d06e8b12f22ed4368c05c87097ddfe"),
     ("simplified", (5, 1, False),

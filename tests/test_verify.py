@@ -46,7 +46,7 @@ def test_equivalence_scores_each_induced_order_once(monkeypatch):
 
     monkeypatch.setattr(evaluate, "_direct_costs", spy)
     monkeypatch.setattr(evaluate, "all_pairs_shortest_paths", counted)
-    monkeypatch.setattr(transforms, "all_pairs_shortest_paths", counted)  # simplify's; the generator calls metric_closure
+    monkeypatch.setattr(transforms, "all_pairs_shortest_paths", counted)  # simplify's
     ok, lines = verify.equivalence_suite(seeds=5)
     assert ok
     suite_calls = len(paths)
@@ -57,7 +57,7 @@ def test_equivalence_scores_each_induced_order_once(monkeypatch):
         if inst is not None:
             instances.append(inst)
     generator_calls = len(paths) - suite_calls
-    assert generator_calls == 0  # the generator searches through metric_closure
+    assert generator_calls == 0  # the generator runs bounded searches of its own
     assert suite_calls <= 2 * len(instances)
     tours = 0
     want = []
