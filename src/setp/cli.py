@@ -29,9 +29,11 @@ def parse_order_spec(spec: str, n: int) -> AprioriOrder:
     orient = []
     for tok in spec.split(","):
         tok = tok.strip()
-        if not tok or tok[-1] not in "+-" or tok[:-1] != str(int(tok[:-1])):  # int() also reads "+1" and "1_0"
+        index = tok[:-1]
+        # ASCII digits with no leading zero: int() also reads "+1", "1_0" and other scripts' digits
+        if not tok or tok[-1] not in "+-" or not (index.isascii() and index.isdigit()) or index != str(int(index)):
             raise ValueError("bad order token %r (want e.g. 3+ or 3-)" % tok)
-        seq.append(int(tok[:-1]))
+        seq.append(int(index))
         orient.append(0 if tok[-1] == "+" else 1)
     if sorted(seq) != list(range(n)):
         raise ValueError("order %r is not a permutation of 0..%d" % (spec, n - 1))

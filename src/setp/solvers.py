@@ -49,8 +49,12 @@ def _orientation_costs(hop: np.ndarray, p: np.ndarray, orients: np.ndarray):
     def score(seqs: np.ndarray) -> np.ndarray:
         S = seqs[:, shift]  # S[:, t, i]: the edge t positions after position i
         W = p[S]
-        # run[:, t - 1, i]: probability that nothing strictly between positions i and i + t is served
-        run = np.concatenate([np.ones_like(W[:, :1]), np.cumprod(1.0 - W[:, 1:-1], axis=1)], axis=1)
+        q = 1.0 - W
+        # run[:, t - 1, i]: probability that nothing strictly between positions i and i + t is served, a
+        # running product over shifts: numpy's cumprod along this middle axis runs one cell at a time
+        run = np.ones_like(W[:, 1:])
+        for t in range(1, n - 1):
+            np.multiply(run[:, t - 1], q[:, t], out=run[:, t])
         H = np.zeros((len(seqs), n, n))
         H[np.arange(len(seqs))[:, None, None], S[:, :1], S[:, 1:]] = W[:, :1] * W[:, 1:] * run
         return H.reshape(len(seqs), n * n) @ M
@@ -312,10 +316,12 @@ def _crossing_deltas(D: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray)
     """
     n = len(w)
     q = 1.0 - w
-    y = np.arange(n)
+    y = np.arange(n + 1)
+    upper = y >= y[:, None]  # upper[u, v]: v >= u, the mask of np.triu
+    inner = upper[:n, :n]
     # skip[u, v]: probability that none of positions u..v-1 is served, 0 if v < u
-    skip = np.triu(np.ones((n + 1, n + 1)))
-    skip[:n, 1:] *= np.cumprod(np.where(y >= y[:, None], q, 1.0), axis=1)
+    skip = upper.astype(float)
+    skip[:n, 1:] *= np.cumprod(np.where(inner, q, 1.0), axis=1)
     into = skip[1:, :n].T * w  # into[i, x] = w_x*G(x->i), 0 unless x < i
     new = skip[1:, 1:].T * w  # new[j, y] = w_y*Q(y+1..j), 0 unless y <= j
     old = skip[:n, :n] * w  # old[i, y] = w_y*Q(i..y-1), 0 unless y >= i
@@ -327,7 +333,7 @@ def _crossing_deltas(D: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray)
     np.multiply((w * skip[1:, n])[:0:-1, None], hop[:0:-1], out=tail)
     del hop
     np.cumsum(tail, axis=0, out=tail)
-    T = np.triu(before[:, :n]) @ new.T
+    T = np.where(inner, before[:, :n], 0.0) @ new.T
     terms = before[:, n:]  # the old terms, summed over y in place
     np.multiply(terms, old, out=terms)
     T -= np.cumsum(terms, axis=1, out=terms)
@@ -335,7 +341,7 @@ def _crossing_deltas(D: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray)
     suffix = after[:, n - 1 :: -1]  # so after[j, i] becomes the sum over y >= i
     np.multiply(new[:, ::-1], suffix, out=suffix)
     np.cumsum(suffix, axis=1, out=suffix)
-    T += skip[0, :n, None] * (after[:, :n].T - old @ np.tril(after[:, n:]).T)
+    T += skip[0, :n, None] * (after[:, :n].T - old @ np.where(inner.T, after[:, n:], 0.0).T)
     return T
 
 

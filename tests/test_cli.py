@@ -258,6 +258,27 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # SHA-256 of closed-form `evaluate` stdout, recorded while the kernel still
+    # stepped one shift at a time: its block of shifts must not change any
+    # output. The n=24 row is one block; the n=600 row keeps the loop.
+    @pytest.mark.parametrize(
+        "n, scrambled, digest",
+        [(1, False, "6a75f2ac707350e5c75888649b83912cf50c568ff05f89e5fecdefbab3cd6263"),
+         (1, True, "6a75f2ac707350e5c75888649b83912cf50c568ff05f89e5fecdefbab3cd6263"),
+         (24, False, "ef5120109f1729dd49f087534f4efec39bca411e78121cfb62b0474a566f22f1"),
+         (24, True, "6fcd6e6a50330918dcae6e96e7237d8c2040c06a2870738fc79fee4b6df1ac05"),
+         (600, False, "23615b890965e64d1c819940f97f453e431818b5d86f9754ea1f7726d41c00e3"),
+         (600, True, "c7100cc0107ca09b1a9c6fe02534c60822f767032578045c1db55ac2bdebcf0d")],
+        ids=["1", "1-scrambled", "24", "24-scrambled", "600", "600-scrambled"],
+    )
+    def test_closed_stdout_bytes(self, tmp_path, capsys, n, scrambled, digest):
+        path = tmp_path / "s.json"
+        serialize.save(gen_random_simplified(n, seed=n), path)
+        seq = np.random.default_rng(n).permutation(n) if scrambled else range(n)
+        spec = ",".join("%d%s" % (i, "-+"[i % 2] if scrambled else "+") for i in seq)  # odd edges forward
+        assert cli.main(["evaluate", str(path), spec]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_successive_calls_keep_their_own_defaults(self, tmp_path, capsys):
         # one parser serves every main() call of a process; no option may leak
@@ -826,6 +847,10 @@ PROBES = [
      ["evaluate", "{path}", spec(21).replace(",10+,", ",1_0+,")], 2),
     ("order-signed-index", json.dumps(BASE["simplified"]), ["evaluate", "{path}", "0+,+1+,2+,3+"], 2),
     ("order-arabic-indic-index", json.dumps(BASE["simplified"]), ["evaluate", "{path}", "\u0660+,1+,2+,3+"], 2),
+    # an index that is not ASCII digits is a bad token, not an int() error
+    *[("order-index-%s" % name, json.dumps(BASE["simplified"]), ["evaluate", "{path}", "0+,1+,2+," + tok], 2,
+       "error=bad order token %r (want e.g. 3+ or 3-)" % tok) for name, tok in [("empty", "+"), ("letter", "a+"),
+                                                                                 ("sign", "-+")]],
     ("vertex-map-validate", json.dumps({"format": "setp/1", "kind": "vertex_map", "map": {"0": 0}}),
      ["validate", "{path}"], 2),
     # each request is more than a process can address on a 64-bit host (64 PiB), so it fails at once

@@ -80,6 +80,24 @@ def reference_scenario_costs(D, a, b, served):
     return np.where(served, D[a, b] + D[b, a[succ]], 0.0).sum(axis=1)
 
 
+def reference_weighted_tour_costs(D, a, b, W):
+    """The closed-form kernel one shift at a time, as it was before its
+    blocks of shifts."""
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    n = W.shape[-1]
+    svc = D[a, b]
+    cost = (W * svc).sum(axis=-1)
+    run = np.ones_like(W)
+    W2 = np.concatenate([W, W], axis=-1)
+    a2 = np.concatenate([a, a], axis=-1)
+    q2 = 1.0 - W2
+    for t in range(1, n):
+        cost = cost + (W * W2[..., t : t + n] * run * D[b, a2[..., t : t + n]]).sum(axis=-1)
+        run = run * q2[..., t : t + n]
+    cost = cost + (W * run * D[b, a]).sum(axis=-1)
+    return cost
+
+
 @st.composite
 def instance_and_order(draw, max_n=12):
     n = draw(st.integers(1, max_n))
@@ -274,6 +292,33 @@ class TestClosedForm:
         grid = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[:, None], every))
         rows = _oriented_rows(inst, np.repeat(seqs, len(every), axis=0), np.tile(every, (len(seqs), 1)))
         assert grid.ravel().tolist() == weighted_tour_costs(inst.D, *rows).tolist()
+
+    # The kernel's calls: one order (1-D), local search's (k, n) neighbours, and
+    # brute force's (k, 1, n) sequences against (r, n) orientations. Caps of 8
+    # and 64 cells send most rows one shift at a time, and the narrowest
+    # through a block of one shift or several.
+    @settings(max_examples=300, deadline=None)
+    @given(case=instance_and_order(max_n=40), data=st.data())
+    def test_bit_equal_to_one_shift_at_a_time(self, case, data):
+        inst, order = case
+        n = inst.n
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        p = rng.choice([0.0, 0.5, 1.0], n) if data.draw(st.booleans()) else inst.p
+        inst = SimplifiedInstance(D=inst.D * 10.0 ** data.draw(st.sampled_from([-8, 0, 8])), R=inst.R, p=p)
+        shape = data.draw(st.sampled_from(["order", "rows", "grid"]))
+        if shape == "order":
+            rows = _oriented_rows(inst, order.sequence, order.orient)
+        elif shape == "rows":
+            k = data.draw(st.integers(1, 20))
+            rows = _oriented_rows(inst, [rng.permutation(n) for _ in range(k)], rng.integers(0, 2, (k, n)))
+        else:
+            k, r = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+            seqs = np.array([rng.permutation(n) for _ in range(k)])[:, None]
+            rows = _oriented_rows(inst, seqs, np.broadcast_to(rng.integers(0, 2, (r, n)) == 1, (k, r, n)))
+        want = reference_weighted_tour_costs(inst.D, *rows)
+        with mock.patch.object(evaluate, "BATCH_CELLS", data.draw(st.sampled_from([8, 64, evaluate.BATCH_CELLS]))):
+            got = weighted_tour_costs(inst.D, *rows)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_rotation_invariance_of_expectation(self):
         inst = gen_random_simplified(5, seed=11)

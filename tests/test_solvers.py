@@ -298,6 +298,46 @@ def test_reversal_deltas_match_kernel_within_bound_large(case):
     assert np.abs(estimate - want).max() <= solvers._rounding_bound(inst.n, inst.D)
 
 
+def reference_crossing_deltas(D, a, b, w):
+    """`solvers._crossing_deltas` as it was with its triangles cut by
+    np.triu and np.tril."""
+    n = len(w)
+    q = 1.0 - w
+    y = np.arange(n)
+    skip = np.triu(np.ones((n + 1, n + 1)))
+    skip[:n, 1:] *= np.cumprod(np.where(y >= y[:, None], q, 1.0), axis=1)
+    into = skip[1:, :n].T * w
+    new = skip[1:, 1:].T * w
+    old = skip[:n, :n] * w
+    hop = D[b[:, None], np.concatenate([b, a])]
+    before = into @ hop
+    after = np.zeros((n, 2 * n))
+    tail = after[-2::-1]
+    np.multiply((w * skip[1:, n])[:0:-1, None], hop[:0:-1], out=tail)
+    np.cumsum(tail, axis=0, out=tail)
+    T = np.triu(before[:, :n]) @ new.T
+    terms = before[:, n:]
+    np.multiply(terms, old, out=terms)
+    T -= np.cumsum(terms, axis=1, out=terms)
+    suffix = after[:, n - 1 :: -1]
+    np.multiply(new[:, ::-1], suffix, out=suffix)
+    np.cumsum(suffix, axis=1, out=suffix)
+    T += skip[0, :n, None] * (after[:, :n].T - old @ np.tril(after[:, n:]).T)
+    return T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 200])
+@pytest.mark.parametrize("half", [False, True], ids=["uniform-p", "half-p"])
+def test_crossing_deltas_bit_equal_to_triangle_reference(n, half):
+    inst = gen_random_simplified(n, seed=n)
+    rng = np.random.default_rng(n)
+    a, b, w = evaluate._oriented_rows(inst, rng.permutation(n), rng.integers(0, 2, size=n))
+    if half:
+        w = rng.choice([0.0, 0.5, 1.0], size=n)
+    want = reference_crossing_deltas(inst.D, a, b, w)
+    assert np.array_equal(solvers._crossing_deltas(inst.D, a, b, w).view(np.int64), want.view(np.int64))
+
+
 def test_reversal_deltas_hold_no_cubic_temporary():
     # The screen holds n x n matrices: at n=200 one (n, n, n) temporary alone
     # would take 64 MB, 50 times D's 1.28 MB.
@@ -661,6 +701,26 @@ def test_held_karp_rows_settle_as_the_screen(inst):
         assert got[0] == (repr(cost), seq, orient)
 
 
+def reference_orientation_costs(hop, p, orients):
+    """`solvers._orientation_costs` as it was with its skip products from
+    np.cumprod along the shift axis."""
+    n = len(p)
+    x = np.asarray(orients, dtype=int).T
+    e = np.arange(n)
+    M = hop[e[:, None, None], e[:, None], x[:, None], x].reshape(n * n, -1)
+    shift = (e + e[:, None]) % n
+
+    def score(seqs):
+        S = seqs[:, shift]
+        W = p[S]
+        run = np.concatenate([np.ones_like(W[:, :1]), np.cumprod(1.0 - W[:, 1:-1], axis=1)], axis=1)
+        H = np.zeros((len(seqs), n, n))
+        H[np.arange(len(seqs))[:, None, None], S[:, :1], S[:, 1:]] = W[:, :1] * W[:, 1:] * run
+        return H.reshape(len(seqs), n * n) @ M
+
+    return score
+
+
 @st.composite
 def scorer_instance(draw):
     """Random D, symmetric or not (library use), scaled by 1e-8 to 1e8, with
@@ -696,6 +756,19 @@ def test_orientation_scorer_matches_kernel_within_bound(inst):
     want = evaluate.weighted_tour_costs(inst.D, *evaluate._oriented_rows(inst, seqs[:, None], at_positions))
     assert got.shape == want.shape == (len(seqs), 2**n)
     assert np.abs(got - want).max() <= solvers._rounding_bound(n, inst.D)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9])
+@pytest.mark.parametrize("half", [False, True], ids=["uniform-p", "half-p"])
+def test_orientation_scorer_bit_equal_to_cumprod_reference(n, half):
+    inst = gen_random_simplified(n, seed=n, metric=half)
+    if half:
+        inst = SimplifiedInstance(D=inst.D, R=inst.R, p=np.random.default_rng(n).choice([0.0, 0.5, 1.0], size=n))
+    orients = evaluate.scenario_matrix(n)[:, ::-1]
+    seqs = solvers._permutation_rows(n)[:720]
+    got = solvers._orientation_costs(hop_table(inst), inst.p, orients)(seqs)
+    want = reference_orientation_costs(hop_table(inst), inst.p, orients)(seqs)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBruteForceTsp:
