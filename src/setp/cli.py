@@ -144,6 +144,7 @@ def cmd_solve(args) -> int:
     if args.mode == "heuristic":
         print("stop=%s" % result.stop, file=sys.stderr)
         print("sweeps=%d" % result.sweeps, file=sys.stderr)
+        print("settles=%d" % result.settles, file=sys.stderr)
     print("wall_time=%.3fs" % result.wall_time, file=sys.stderr)
     return 0
 

@@ -26,6 +26,7 @@ class SolveResult:
     wall_time: float
     sweeps: int = 0  # neighborhood sweeps of local search
     stop: str = "exhaustive"  # local search: "local_optimum" or "budget"
+    settles: int = 0  # local search: sweeps whose move the kernel had to pick
 
 
 def _orientation_costs(hop: np.ndarray, p: np.ndarray, orients: np.ndarray):
@@ -74,7 +75,10 @@ def _rounding_bound(n: int, M: np.ndarray) -> float:
     V - C + b, b/16 more when the screen estimates its mirror (two kernel
     values of one exact sum), and a Held-Karp prefix takes the least of its
     completions, no more than the tie's own; no estimate is below V - C - b.
-    So every tie lies within 2b + b/16 < 3b of the least estimate.
+    So every tie lies within 2b + b/16 < 3b of the least estimate. The bound
+    also decides a local-search sweep whose least delta lies beyond +-b: above
+    b every move costs more than the current order, and below -b a move that
+    is alone in the window costs less, so the kernel settles neither.
 
     With u = 2^-53 and M read as max|M|, every value is a sum of products of
     probabilities with distances. A position's weights total at most 2 (its
@@ -374,8 +378,12 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
     move counts as one cost evaluation. Every neighbor is scored as its
     canonical order (`_moved`), and that value becomes the cost: each move
     strictly lowers it, so no order recurs. The moves are screened by
-    `_reversal_deltas`; those within the window of `_rounding_bound` are
-    scored by `weighted_tour_costs`, as if the kernel scored every neighbor.
+    `_reversal_deltas`, each within b = `_rounding_bound` of its change of
+    the kernel value, so the screen alone decides a sweep whose least delta
+    lies beyond +-b: above b no move improves, and one near move below -b is
+    the move. Otherwise the moves within the window are settled by
+    `weighted_tour_costs` (`settles` counts these sweeps), as if the kernel
+    scored every neighbor; the cost is the kernel value of the final order.
     Stops at a local optimum or when `budget` cost evaluations are spent,
     never worse than the initial solution. D must be symmetric.
     """
@@ -383,37 +391,50 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
         raise ValueError("local search needs a symmetric distance matrix")
     t0 = time.perf_counter()
     current = canonicalize(init)
-    cost = expected_cost_closed_form(current, inst).value
+    cost = None  # the kernel value of (seq, orient), computed once a settle or the result needs it
     seq, orient = np.asarray(current.sequence), np.asarray(current.orient)
     evaluations = 1
-    sweeps = 0
+    sweeps = settles = 0
     stop = "budget"
     n = inst.n
     pi, pj = np.triu_indices(n, 1)
     keep = (pi != 0) | (pj != n - 1)
     move_i = np.concatenate([np.arange(n), pi[keep]])
     move_j = np.concatenate([np.arange(n), pj[keep]])
-    window = 3.0 * _rounding_bound(n, inst.D)
+    bound = _rounding_bound(n, inst.D)
     while evaluations < budget:
         k = min(len(move_i), budget - evaluations)
         delta = _reversal_deltas(inst, seq, orient, move_i[:k], move_j[:k])
-        near = np.flatnonzero(delta <= delta.min() + window)
-        s2, o2 = _moved(seq, orient, move_i[near], move_j[near])
-        least, best = _least(inst, s2, o2)  # all moves when all tie, as with p = 0
+        low = delta.min()
         evaluations += k
         sweeps += 1
-        if not least < cost:  # the first least is the first strict minimum when it improves
-            if k == len(move_i):
-                stop = "local_optimum"
-            break
-        cost, seq, orient = least, s2[best], o2[best]
+        if not bound < low < np.inf:  # above b no move improves; an infinite or NaN delta goes to the kernel
+            near = np.flatnonzero(delta <= low + 3.0 * bound)
+            s2, o2 = _moved(seq, orient, move_i[near], move_j[near])
+            if len(near) == 1 and low < -bound:  # the one near move improves, the one `_least` would pick
+                cost, seq, orient = None, s2[0], o2[0]
+                continue
+            if cost is None:
+                cost = expected_cost_closed_form(AprioriOrder(seq, orient), inst).value
+            least, best = _least(inst, s2, o2)  # all moves when all tie, as with p = 0
+            settles += 1
+            if least < cost:  # the first least is the first strict minimum when it improves
+                cost, seq, orient = least, s2[best], o2[best]
+                continue
+        if k == len(move_i):
+            stop = "local_optimum"
+        break
+    order = AprioriOrder(seq, orient)
+    if cost is None:  # a row's kernel bits do not depend on its batch
+        cost = expected_cost_closed_form(order, inst).value
     return SolveResult(
-        order=AprioriOrder(seq, orient),
+        order=order,
         cost=ExpectedCost(value=cost, method=CLOSED_FORM),
         evaluations=evaluations,
         wall_time=time.perf_counter() - t0,
         sweeps=sweeps,
         stop=stop,
+        settles=settles,
     )
 
 

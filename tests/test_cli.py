@@ -390,8 +390,9 @@ class TestSolveCommand:
             assert cli.main(["solve", "--heuristic", "--budget", budget, str(path)]) == 0
             res = capsys.readouterr()
             err = dict(line.split("=", 1) for line in res.err.splitlines())
-            assert set(err) == {"stop", "sweeps", "wall_time"}
-            assert "stop=" not in res.out and "sweeps=" not in res.out
+            assert set(err) == {"stop", "sweeps", "settles", "wall_time"}
+            assert "stop=" not in res.out and "sweeps=" not in res.out and "settles=" not in res.out
+            assert 0 <= int(err["settles"]) <= int(err["sweeps"])
             reports[budget] = (err["stop"], int(err["sweeps"]))
         assert reports["3"] == ("budget", 1)
         stop, sweeps = reports["1000000"]

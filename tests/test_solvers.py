@@ -221,8 +221,18 @@ def reference_local_search(inst, init, budget):
     return current, cost, evaluations, sweeps, stop
 
 
-def run_against_reference(n, seed, metric, budget, chunk_rows):
-    inst = gen_random_simplified(n, seed=seed, metric=metric)
+def random_or_tied(n, seed, metric, kind):
+    """`gen_random_simplified`, or for a `kind` the tie-heavy
+    `gadget_or_rounded` instance, where the kernel must settle the screen's
+    near moves (a gadget has at least 3 cities)."""
+    if kind is None:
+        return gen_random_simplified(n, seed=seed, metric=metric)
+    return gadget_or_rounded(kind, max(n, 3) if kind == "gadget" else n, seed, metric)
+
+
+def run_against_reference(n, seed, metric, budget, chunk_rows, kind=None):
+    inst = random_or_tied(n, seed, metric, kind)
+    n = inst.n
     rng = np.random.default_rng(seed)
     init = AprioriOrder(tuple(rng.permutation(n)), tuple(rng.integers(0, 2, size=n)))
     # A small row bound splits each sweep's tables over several blocks, as at large n.
@@ -240,9 +250,10 @@ def run_against_reference(n, seed, metric, budget, chunk_rows):
     metric=st.booleans(),
     budget=st.integers(1, 4000),
     chunk_rows=st.one_of(st.none(), st.integers(1, 20)),
+    kind=st.sampled_from([None, "gadget", (0, 1), (0, 0.5, 1)]),
 )
-def test_local_search_matches_per_neighbor_reference(n, seed, metric, budget, chunk_rows):
-    run_against_reference(n, seed, metric, budget, chunk_rows)
+def test_local_search_matches_per_neighbor_reference(n, seed, metric, budget, chunk_rows, kind):
+    run_against_reference(n, seed, metric, budget, chunk_rows, kind)
 
 
 # The same up to n=26, past the n=24 the benchmark solves, with few examples
@@ -257,6 +268,48 @@ def test_local_search_matches_per_neighbor_reference(n, seed, metric, budget, ch
 )
 def test_local_search_matches_per_neighbor_reference_large(n, seed, metric, budget, chunk_rows):
     run_against_reference(n, seed, metric, budget, chunk_rows)
+
+
+def kernel_calls(inst, init, budget=1_000_000):
+    """`local_search`'s result and its number of `weighted_tour_costs` calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    kernel = evaluate.weighted_tour_costs
+    with mock.patch.object(evaluate, "weighted_tour_costs", counted), \
+            mock.patch.object(solvers, "weighted_tour_costs", counted):
+        res = local_search(inst, init, budget=budget)
+    return res, len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    metric=st.booleans(),
+    budget=st.integers(1, 10**6),
+    kind=st.sampled_from([None, "gadget", (0, 1), (0, 0.5, 1)]),
+)
+def test_local_search_calls_the_kernel_only_to_settle(n, seed, metric, budget, kind):
+    # Each settle scores its near moves and, at most once, the current order;
+    # the result scores the final order when no settle has.
+    inst = random_or_tied(n, seed, metric, kind)
+    res, calls = kernel_calls(inst, nearest_neighbor(inst), budget)
+    assert res.settles <= res.sweeps
+    assert calls <= 2 * res.settles + 1
+    assert res.cost.value == expected_cost_closed_form(res.order, inst).value
+
+
+def test_local_search_descends_at_n80_without_the_kernel():
+    # Nearly every sweep's least delta is one near move beyond the bound, or,
+    # in the last, above it; one kernel call per sweep would make 26 in all.
+    inst = gen_random_simplified(80, seed=0)
+    res, calls = kernel_calls(inst, nearest_neighbor(inst))
+    assert (res.sweeps, res.stop) == (25, "local_optimum")
+    assert calls <= 3
 
 
 @st.composite
