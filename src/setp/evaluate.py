@@ -21,9 +21,10 @@ from .core import (AprioriOrder, EulerianTour, OriginalInstance, Scenario, Simpl
 from .graph import Multigraph, all_pairs_shortest_paths
 
 ENUMERATION_GUARD = 20
-# Cells (rows x row width) per batched kernel call: each temporary of a block is
-# at most 1 MB and stays in cache, whatever the number of samples, scenarios or
-# candidates; larger blocks were never faster.
+# Cells (rows x row width) per batched call, and (rows x shifts x row width) per
+# block of the kernel's shifts: each temporary of a block is at most 1 MB and
+# stays in cache, whatever the number of samples, scenarios, candidates or
+# positions; larger blocks were never faster.
 BATCH_CELLS = 1 << 17
 
 CLOSED_FORM = "closed_form"
@@ -70,11 +71,12 @@ def _order_rows(order: AprioriOrder, inst: SimplifiedInstance):
     return _oriented_rows(inst, order.sequence, order.orient)
 
 
-def _shifts(x: np.ndarray) -> np.ndarray:
-    """View [..., t - 1, i] = x[..., t + i], t = 1..n-1, of C-contiguous
-    doubled rows x, shaped (..., 2n): every shifted row, with no copy."""
-    n = x.shape[-1] // 2
-    return np.ndarray(x.shape[:-1] + (n - 1, n), x.dtype, x, x.itemsize, x.strides + (x.itemsize,))
+def _shifts(x: np.ndarray, s: slice) -> np.ndarray:
+    """View [..., j, i] = x[..., t + i], t = s.start + 1 + j, of C-contiguous
+    doubled rows x, shaped (..., 2n): the rows shifted left by each shift t
+    of the block s, with no copy."""
+    return np.ndarray(x.shape[:-1] + (s.stop - s.start, x.shape[-1] // 2), x.dtype, x, x.itemsize * (1 + s.start),
+                      x.strides + (x.itemsize,))
 
 
 def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -87,40 +89,30 @@ def weighted_tour_costs(D: np.ndarray, a: np.ndarray, b: np.ndarray, W: np.ndarr
     and both searches settle their near-minimum candidates with it; 0/1
     scenario rows go to `scenario_costs`.
 
-    Each shift t = 1..n-1 sums its pair terms ((w_i * w_(i+t)) * run) * D
-    over the n positions with `.sum(axis=-1)` (numpy's pairwise sum), run
-    being the run product of shift t - 1 times its factor, and the shift sums
-    are added to the cost in shift order. Rows whose shifts hold at most
-    sqrt(BATCH_CELLS) cells each (every row of one order up to n = 362) take
-    all shifts in one block of at most BATCH_CELLS cells, a dozen numpy calls
-    in place of eight per shift: the shifted rows are views of the doubled
-    rows, and one accumulate call forms the run products, one the running
-    cost, each in the order of a loop over shifts. So the block changes no
-    bit. Wider rows go one shift at a time: their calls cost little against
-    their work, while numpy accumulates one cell at a time and larger
-    temporaries leave the cache.
+    Shift t sums its pair terms ((w_i * w_(i+t)) * run) * D over the n
+    positions with `.sum(axis=-1)` (numpy's pairwise sum), run being the run
+    product of shift t - 1 times its factor, and the shift sums are added to
+    the cost in shift order. The shifts go in `_blocks` of at most
+    BATCH_CELLS cells (all of them for one order up to n = 362): the shifted
+    rows are views of the doubled rows, and one `cumprod` from the previous
+    block's run product and one `cumsum` from its cost keep that order, so
+    the blocks do not change a bit.
     """
     W = np.atleast_2d(np.ascontiguousarray(W, dtype=float))
     n = W.shape[-1]
-    svc = D[a, b]
-    cost = (W * svc).sum(axis=-1)
-    cells = cost.size * n  # of one shift: the rows, broadcast, times their width
+    cost = (W * D[a, b]).sum(axis=-1)
     # C-order rows concatenated with themselves: [..., t:t + n] is the row shifted left by t
     W2 = np.concatenate([W, W], axis=-1)
     a2 = np.ascontiguousarray(np.concatenate([a, a], axis=-1))
     q2 = 1.0 - W2
-    if n > 1 and 0 < cells * cells <= BATCH_CELLS:
-        # runs[..., t - 1, i]: probability that no position strictly between i and i + t is served
-        runs = np.cumprod(np.concatenate([np.ones_like(W)[..., None, :], _shifts(q2)], axis=-2), axis=-2)
-        S = (W[..., None, :] * _shifts(W2) * runs[..., :-1, :] * D[b[..., None, :], _shifts(a2)]).sum(axis=-1)
+    run = np.ones_like(W)  # probability that no position strictly between i and i + t is served
+    for s in _blocks(n - 1, max(1, cost.size * n)):  # cells of one shift: the rows, broadcast, times their width
+        runs = np.cumprod(np.concatenate([run[..., None, :], _shifts(q2, s)], axis=-2), axis=-2)
+        S = (W[..., None, :] * _shifts(W2, s) * runs[..., :-1, :]
+             * D[b[..., None, :], _shifts(a2, s)]).sum(axis=-1)
         S[..., 0] += cost
         cost = np.cumsum(S, axis=-1, out=S)[..., -1]
         run = runs[..., -1, :]
-    else:
-        run = np.ones_like(W)
-        for t in range(1, n):
-            cost = cost + (W * W2[..., t : t + n] * run * D[b, a2[..., t : t + n]]).sum(axis=-1)
-            run = run * q2[..., t : t + n]
     # wrap term: position i served and nothing else is
     return cost + (W * run * D[b, a]).sum(axis=-1)
 

@@ -61,8 +61,8 @@ def simplify(inst: OriginalInstance, epsilon: float | None = None):
     """
     if epsilon is None:
         epsilon = default_epsilon(inst.dist)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     g = Multigraph.from_instance(inst)
     origin = [v for eid in inst.required for v in inst.edges[eid]] + [inst.depot, inst.depot]
     lengths = [inst.dist[eid] for eid in inst.required] + [epsilon]
@@ -93,9 +93,10 @@ def _split(M, idx, origin, lengths, p):
 def tsp_to_setp(tsp: TspInstance, epsilon: float):
     """Replace each city by two vertices at mutual distance epsilon, joined by
     a probability-1 required edge. Returns (SimplifiedInstance, VertexMap);
-    raises ValueError if `core.validate_tsp` finds a violation in C."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    raises ValueError unless 0 < epsilon < inf and `core.validate_tsp` finds
+    no violation in C."""
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     violations = validate_tsp(tsp)
     if violations:
         raise ValueError("; ".join(violations))

@@ -259,8 +259,8 @@ class TestEvaluateCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     # SHA-256 of closed-form `evaluate` stdout, recorded while the kernel still
-    # stepped one shift at a time: its block of shifts must not change any
-    # output. The n=24 row is one block; the n=600 row keeps the loop.
+    # stepped one shift at a time: its blocks of shifts must not change any
+    # output. The n=24 row is one block; the n=600 row takes three.
     @pytest.mark.parametrize(
         "n, scrambled, digest",
         [(1, False, "6a75f2ac707350e5c75888649b83912cf50c568ff05f89e5fecdefbab3cd6263"),

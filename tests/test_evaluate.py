@@ -294,9 +294,9 @@ class TestClosedForm:
         assert grid.ravel().tolist() == weighted_tour_costs(inst.D, *rows).tolist()
 
     # The kernel's calls: one order (1-D), local search's (k, n) neighbours, and
-    # brute force's (k, 1, n) sequences against (r, n) orientations. Caps of 8
-    # and 64 cells send most rows one shift at a time, and the narrowest
-    # through a block of one shift or several.
+    # brute force's (k, 1, n) sequences against (r, n) orientations. A cap of 1
+    # to rows * n * n cells splits the n - 1 shifts into blocks of any size, from
+    # one shift to all of them, a short last block included.
     @settings(max_examples=300, deadline=None)
     @given(case=instance_and_order(max_n=40), data=st.data())
     def test_bit_equal_to_one_shift_at_a_time(self, case, data):
@@ -316,9 +316,24 @@ class TestClosedForm:
             seqs = np.array([rng.permutation(n) for _ in range(k)])[:, None]
             rows = _oriented_rows(inst, seqs, np.broadcast_to(rng.integers(0, 2, (r, n)) == 1, (k, r, n)))
         want = reference_weighted_tour_costs(inst.D, *rows)
-        with mock.patch.object(evaluate, "BATCH_CELLS", data.draw(st.sampled_from([8, 64, evaluate.BATCH_CELLS]))):
+        with mock.patch.object(evaluate, "BATCH_CELLS", data.draw(st.integers(1, np.broadcast(*rows).size * n))):
             got = weighted_tour_costs(inst.D, *rows)
         assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_wide_row_peak_memory(self):
+        # n = 1000 takes its 999 shifts in blocks of 131, every temporary of a
+        # block at most BATCH_CELLS cells (1 MB); one block of all shifts would
+        # hold 8 MB in each.
+        n = 1000
+        inst = gen_random_simplified(n, seed=0)
+        rows = _oriented_rows(inst, np.arange(n), np.zeros(n, dtype=bool))
+        tracemalloc.start()
+        try:
+            weighted_tour_costs(inst.D, *rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (8 * evaluate.BATCH_CELLS) + 512 * n
 
     def test_rotation_invariance_of_expectation(self):
         inst = gen_random_simplified(5, seed=11)

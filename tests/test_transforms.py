@@ -80,8 +80,9 @@ class TestSimplify:
         assert vmap[2] == vmap[3] == inst.depot
 
     def test_requires_positive_epsilon(self):
-        with pytest.raises(ValueError):
-            simplify(self.doubled_triangle(), epsilon=0.0)
+        for epsilon in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                simplify(self.doubled_triangle(), epsilon=epsilon)
 
     @staticmethod
     def shared_endpoints(seed):
@@ -183,8 +184,9 @@ class TestTspGadget:
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):
             tsp_to_setp(TspInstance(np.zeros((1, 1))), epsilon=1e-6)
-        with pytest.raises(ValueError):
-            tsp_to_setp(self.unit_triangle(), epsilon=-1.0)
+        for epsilon in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                tsp_to_setp(self.unit_triangle(), epsilon=epsilon)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_optimum_correspondence(self, seed):
