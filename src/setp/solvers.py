@@ -49,7 +49,7 @@ def _orientation_costs(hop: np.ndarray, p: np.ndarray, orients: np.ndarray):
 
     def score(seqs: np.ndarray) -> np.ndarray:
         S = seqs[:, shift]  # S[:, t, i]: the edge t positions after position i
-        W = p[S]
+        W = p[seqs][:, shift]  # p[S], from one gather of n values a row
         q = 1.0 - W
         # run[:, t - 1, i]: probability that nothing strictly between positions i and i + t is served, a
         # running product over shifts: numpy's cumprod along this middle axis runs one cell at a time
@@ -75,7 +75,11 @@ def _rounding_bound(n: int, M: np.ndarray) -> float:
     V - C + b, b/16 more when the screen estimates its mirror (two kernel
     values of one exact sum), and a Held-Karp prefix takes the least of its
     completions, no more than the tie's own; no estimate is below V - C - b.
-    So every tie lies within 2b + b/16 < 3b of the least estimate. The bound
+    So every tie lies within 2b + b/16 < 3b of the least estimate. Brute
+    force keeps a row when the representative of its mirror pair has an
+    estimate within the window, then each (sequence, orientation) pair of
+    that row by the pair's own estimate: a tie's own is at most V - C + b, so
+    both steps keep it. The bound
     also decides a local-search sweep whose least delta lies beyond +-b: above
     b every move costs more than the current order, and below -b a move that
     is alone in the window costs less, so the kernel settles neither.
@@ -133,32 +137,57 @@ def _least(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> t
 
 def _permutation_rows(m: int) -> np.ndarray:
     """The rows (0,) + rest for every permutation `rest` of 1..m-1, in
-    lexicographic order, as an (m-1)! x m int array: the order of
+    lexicographic order, as an (m-1)! x m int8 array: the order of
     `itertools.permutations(range(1, m))`."""
-    perms = np.zeros((1, 0), dtype=int)  # the permutations of range(k), lexicographic, from k = 0
+    perms = np.zeros((1, 0), dtype=np.int8)  # the permutations of range(k), lexicographic, from k = 0
     for k in range(1, m):
         # first element f, then the permutations of range(k - 1) with every value >= f raised by one
-        first = np.repeat(np.arange(k), len(perms))[:, None]
+        first = np.repeat(np.arange(k, dtype=np.int8), len(perms))[:, None]
         rest = np.tile(perms, (k, 1))
         perms = np.hstack([first, rest + (rest >= first)])
-    return np.hstack([np.zeros((len(perms), 1), dtype=int), perms + 1])
+    return np.hstack([np.zeros((len(perms), 1), dtype=np.int8), perms + 1])
 
 
-def _screened_rows(hop: np.ndarray, p: np.ndarray, orients: np.ndarray) -> np.ndarray:
-    """Near rows of the screen, sorted: every sequence (0, s_1, ..., s_(n-1))
-    whose mirror representative, the one with s_1 < s_(n-1), has some
-    orientation whose hop sum comes within the window of `_rounding_bound`
-    of the least of all. The representatives are screened in blocks, over
-    all the given orientations at once, by `_orientation_costs`."""
-    n = len(p)
-    seqs = _permutation_rows(n)
+def _screened_least(
+    inst: SimplifiedInstance, hop: np.ndarray, orients: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(cost, sequence, orient) of the first least kernel value over the
+    screen's near (sequence, orientation) pairs.
+
+    The representatives (0, s_1, ..., s_(n-1)) with s_1 < s_(n-1) are
+    screened in blocks, over all the given orientations at once, by
+    `_orientation_costs`. Those with an orientation within the window of
+    `_rounding_bound` of the least hop sum, and their mirrors, are the near
+    rows. Block by block these are screened again, and `_least` settles
+    their pairs within the window in lexicographic order, column x of edge
+    orientations read as the position orientations x[s_i].
+    """
+    n = len(inst.p)
+    reps = _permutation_rows(n)
     mirror = np.r_[0, n - 1 : 0 : -1]  # columns of the mirror sequence
     if n >= 3:  # for n <= 2 every sequence is its own mirror
-        seqs = seqs[seqs[:, 1] < seqs[:, -1]]
-    score = _orientation_costs(hop, p, orients)
-    least = np.concatenate([score(seqs[s]).min(axis=1) for s in _blocks(len(seqs), n << n)])
-    near = seqs[least <= least.min() + 3.0 * _rounding_bound(len(hop), hop)]
-    return np.unique(np.concatenate([near, near[:, mirror]]), axis=0)
+        reps = reps[reps[:, 1] < reps[:, -1]]
+    score = _orientation_costs(hop, inst.p, orients)
+    least = np.concatenate([score(reps[s]).min(axis=1) for s in _blocks(len(reps), n << n)])
+    window = least.min() + 3.0 * _rounding_bound(n, hop)
+    near = reps[least <= window]
+    rows = np.unique(np.concatenate([near, near[:, mirror]]), axis=0)
+    place = 1 << np.arange(n)[::-1]  # position 0 as the high bit, as in the rows of `orients`
+    best = np.inf, None, None
+    for s in _blocks(len(rows), n << n):
+        k, x = np.nonzero(score(rows[s]) <= window)
+        pos = orients[x[:, None], rows[s][k]]  # pos[j, i]: orientation of edge s_i in column x_j
+        pairs = np.lexsort((pos @ place, k))
+        seqs, pos = rows[s][k[pairs]], pos[pairs]
+        try:
+            cost, i = _least(inst, seqs, pos)
+        except ValueError:  # no pair of this block costs less than inf
+            continue
+        if cost < best[0]:
+            best = cost, seqs[i], pos[i]
+    if best[1] is None:
+        raise ValueError("no candidate has a cost below inf")
+    return best
 
 
 def _held_karp_rows(hop: np.ndarray) -> np.ndarray:
@@ -217,11 +246,11 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     (0, s_1, ..., s_(n-1)) and its mirror (0, s_(n-1), ..., s_1), with every
     orientation flipped, are one cycle driven both ways at the same cost.
 
-    A producer of near rows lists, sorted, every sequence with an orientation
-    that may tie the least kernel value (the window of `_rounding_bound`), and
-    `_least` re-scores those rows with `weighted_tour_costs`, so the result
-    does not depend on the producer. Exact-cost ties of that kernel go to the
-    lexicographically smallest (sequence, orient). When no hop
+    A producer lists, sorted, every candidate that may tie the least kernel
+    value (the window of `_rounding_bound`): rows, each settled over every
+    orientation, or pairs. `_least` re-scores them with `weighted_tour_costs`,
+    so the result does not depend on the producer. Exact-cost ties of that
+    kernel go to the lexicographically smallest (sequence, orient). When no hop
     D[head_e, tail_f], e != f, depends on the orientations (a `tsp_to_setp`
     gadget), no kernel operand does, D being symmetric: every orientation of
     a sequence scores the same float, so orientation 0 wins, and it is the
@@ -229,9 +258,11 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     - every p = 0, D finite: every kernel value is exactly 0.0, so the first
       candidate wins, and the identity sequence is the one row;
     - every p = 1, n >= 3 (the TSP gadget): `_held_karp_rows` in O(2^n n^2);
-    - otherwise `_screened_rows`: the representatives with
-      s_1 < s_(n-1), in blocks, each scored over all orientations at once by
-      one product of its hop weights with the hop table (`_orientation_costs`).
+    - otherwise `_screened_least`: the representatives with s_1 < s_(n-1),
+      in blocks, each scored over all orientations at once by one product of
+      its hop weights with the hop table (`_orientation_costs`); then only the
+      near (sequence, orientation) pairs, each kept by its own screen, are
+      settled.
     """
     n = inst.n
     if n > max_n:
@@ -248,16 +279,15 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     between = hop[~np.eye(n, dtype=bool)]
     if (between == between[:, :1, :1]).all():
         hop, orients = hop[:, :, :1, :1], orients[:1]
-    if not inst.p.any() and np.isfinite(inst.D).all():
-        rows = np.arange(n)[None]
-    elif n >= 3 and (inst.p == 1.0).all():
-        rows = _held_karp_rows(hop)
+    nothing_served = not inst.p.any() and np.isfinite(inst.D).all()
+    if nothing_served or (n >= 3 and (inst.p == 1.0).all()):
+        rows = np.arange(n)[None] if nothing_served else _held_karp_rows(hop)
+        cost, index = _least(inst, rows[:, None], orients)
+        seq, orient = rows[index // len(orients)], orients[index % len(orients)]
     else:
-        rows = _screened_rows(hop, inst.p, orients)
-    cost, index = _least(inst, rows[:, None], orients)
-    i, o = divmod(index, len(orients))
+        cost, seq, orient = _screened_least(inst, hop, orients)
     return SolveResult(
-        order=AprioriOrder(tuple(int(x) for x in rows[i]), tuple(int(x) for x in orients[o])),
+        order=AprioriOrder(tuple(int(x) for x in seq), tuple(int(x) for x in orient)),
         cost=ExpectedCost(value=cost, method=CLOSED_FORM),
         evaluations=math.factorial(n - 1) << n,
         wall_time=time.perf_counter() - t0,

@@ -460,18 +460,60 @@ def test_searches_reject_a_nan_probability():
         local_search(nan, nearest_neighbor(nan))
 
 
-@pytest.mark.parametrize("m", range(1, 10))
+@pytest.mark.parametrize("m", range(1, 11))
 def test_permutation_rows_match_itertools(m):
     rows = solvers._permutation_rows(m)
-    assert rows.dtype == int
+    assert rows.dtype == np.int8
     assert rows.tolist() == [[0, *rest] for rest in itertools.permutations(range(1, m))]
+
+
+def hop_table(inst):
+    """hop[e, f, o, of]: D from the head of edge e in orientation o to the
+    tail of edge f in orientation of, as brute force builds it."""
+    ends = np.asarray(inst.R)
+    return inst.D[ends[:, None, ::-1, None], ends[:, None, :]]
+
+
+def near_screen(inst, hop, orients):
+    """The screen's near rows, sorted, and its near (sequence, orient) pairs,
+    sorted, from one screen of all rows at once: the representatives with an
+    orientation within the window of the least screen of all, and their
+    mirrors; then the orientations x of each of these rows whose own screen is
+    within the window, as position orientations x[s_i]."""
+    n = inst.n
+    reps = solvers._permutation_rows(n)
+    reps = reps[reps[:, 1] < reps[:, -1]] if n >= 3 else reps
+    score = solvers._orientation_costs(hop, inst.p, orients)
+    least = score(reps).min(axis=1)
+    window = least.min() + 3.0 * solvers._rounding_bound(n, hop)
+    near = reps[least <= window].tolist()
+    rows = sorted({tuple(s) for s in near} | {(0, *s[:0:-1]) for s in near})
+    costs = score(np.array(rows, dtype=np.int8).reshape(-1, n))
+    pairs = sorted(
+        (seq, tuple(int(orients[x, e]) for e in seq))
+        for seq, c in zip(rows, costs)
+        for x in np.flatnonzero(c <= window)
+    )
+    return rows, pairs
+
+
+def settled_pairs(inst, a):
+    """(sequence, orient) of each kernel row, read from its tail vertices a."""
+    ends = np.asarray(inst.R)
+    edge, orient = np.zeros(len(inst.D), dtype=int), np.zeros(len(inst.D), dtype=int)
+    edge[ends] = np.arange(inst.n)[:, None]
+    orient[ends[:, 1]] = 1
+    a = a.reshape(-1, inst.n)
+    return list(zip(map(tuple, edge[a].tolist()), map(tuple, orient[a].tolist())))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_brute_force_screens_one_sequence_of_each_mirror_pair(monkeypatch, n):
-    # The screen sees (0, s_1, ..., s_(n-1)) with s_1 < s_(n-1) only, each once;
-    # `evaluations` still counts every candidate.
+    # The first pass screens (0, s_1, ..., s_(n-1)) with s_1 < s_(n-1) only,
+    # each once; the second screens only the near rows, sorted. `evaluations`
+    # still counts every candidate.
     inst = gen_random_simplified(n, seed=n)
+    rows, _ = near_screen(inst, hop_table(inst), evaluate.scenario_matrix(n)[:, ::-1])
     screened = []
     orientation_costs = solvers._orientation_costs
 
@@ -486,16 +528,11 @@ def test_brute_force_screens_one_sequence_of_each_mirror_pair(monkeypatch, n):
     monkeypatch.setattr(solvers, "_orientation_costs", spied)
     res = brute_force(inst)
     seqs = [(0, *rest) for rest in itertools.permutations(range(1, n))]
-    assert screened == (seqs if n <= 2 else [s for s in seqs if s[1] < s[-1]])
-    assert len(screened) == (1 if n <= 2 else math.factorial(n - 1) // 2)
+    reps = seqs if n <= 2 else [s for s in seqs if s[1] < s[-1]]
+    assert screened == reps + rows
+    assert len(reps) == (1 if n <= 2 else math.factorial(n - 1) // 2)
+    assert res.order.sequence in rows
     assert res.evaluations == math.factorial(n - 1) * 2**n
-
-
-def hop_table(inst):
-    """hop[e, f, o, of]: D from the head of edge e in orientation o to the
-    tail of edge f in orientation of, as brute force builds it."""
-    ends = np.asarray(inst.R)
-    return inst.D[ends[:, None, ::-1, None], ends[:, None, :]]
 
 
 def one_served_edge(inst):
@@ -510,40 +547,39 @@ def one_served_edge(inst):
 @pytest.mark.parametrize("seq_rows", [None, 8])
 @pytest.mark.parametrize("seed, apart", [(seed, True) for seed in range(10)] + [(0, False), (0, "one served")])
 def test_brute_force_settles_near_the_least_screen_of_all(monkeypatch, seed, apart, seq_rows):
-    # The kernel re-scores the representatives whose screen comes within the
-    # window of the least screen over all representatives, and their mirrors,
-    # in one sorted pass, however the screen is split into blocks. With every
-    # distance 0 (apart False) every candidate costs exactly 0.0, and all
-    # sequences are re-scored, each in orientation 0 only: no hop depends on
-    # the orientations. With one edge served every candidate ties too, and
-    # all sequences are re-scored over every orientation.
+    # The kernel re-scores the (sequence, orient) pairs whose own screen comes
+    # within the window of the least screen over all representatives, for the
+    # near rows and their mirrors, in one sorted pass, however the screen is
+    # split into blocks. With every distance 0 (apart False) every candidate
+    # costs exactly 0.0, and all sequences are re-scored, each in orientation 0
+    # only: no hop depends on the orientations. With one edge served every
+    # candidate ties too, and every pair is re-scored.
     n = 7
     inst = gen_random_simplified(n, seed=seed, metric=seed % 2 == 0)
     if apart is False:
         inst = SimplifiedInstance(D=np.zeros_like(inst.D), R=inst.R, p=inst.p)
     elif apart == "one served":
         inst = one_served_edge(inst)
-    orients = evaluate.scenario_matrix(n)[:, ::-1]
-    reps = solvers._permutation_rows(n)
-    reps = reps[reps[:, 1] < reps[:, -1]]
-    least = solvers._orientation_costs(hop_table(inst), inst.p, orients)(reps).min(axis=1)
-    near = reps[least <= least.min() + 3.0 * solvers._rounding_bound(n, inst.D)]
-    rows = np.unique(np.concatenate([near, near[:, [0, *range(n - 1, 0, -1)]]]), axis=0)
-    settled, widths = [], set()
+    hop, orients = hop_table(inst), evaluate.scenario_matrix(n)[:, ::-1]
+    if apart is False:
+        hop, orients = hop[:, :, :1, :1], orients[:1]
+    rows, pairs = near_screen(inst, hop, orients)
+    settled = []
     kernel = solvers.weighted_tour_costs
 
     def spied(D, a, b, W):
-        settled.extend((a[:, 0] // 2).tolist())  # tail vertex -> edge: R pairs 2i with 2i + 1
-        widths.add(a.shape[1])  # orientations settled per row
+        settled.extend(settled_pairs(inst, a))
         return kernel(D, a, b, W)
 
     monkeypatch.setattr(solvers, "weighted_tour_costs", spied)
     if seq_rows is not None:
         monkeypatch.setattr(evaluate, "BATCH_CELLS", seq_rows * (n << n))
     res = brute_force(inst)
-    assert settled == rows.tolist()
-    assert apart is True or len(near) == len(reps)
-    assert apart is not False or widths == {1}
+    assert settled == pairs
+    assert (res.order.sequence, res.order.orient) in pairs
+    assert apart is True or len(rows) == math.factorial(n - 1)
+    assert apart is not False or len(pairs) == len(rows)
+    assert apart != "one served" or len(pairs) == math.factorial(n - 1) << n
     assert res.evaluations == math.factorial(n - 1) * 2**n
 
 
@@ -657,6 +693,50 @@ def test_brute_force_matches_reference_on_mirror_pairs(n, seed, metric):
     assert (res.cost.value, res.order.sequence, res.order.orient) == reference_brute_force(inst)
 
 
+def tie_heavy(kind, n, seed):
+    """Random D with p drawn from {0, 1/2, 1}, or with one served edge, or
+    distances from three levels with p from {0, 1/2, 1}: many candidates tie
+    in exact arithmetic, and every orientation of a zero-p edge is free."""
+    inst = gen_random_simplified(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    if kind == "one served":
+        return one_served_edge(inst)
+    D = inst.D
+    if kind == "level":
+        D = rng.choice([0.5, 1.0, 1.5], size=D.shape)
+        D = np.triu(D, 1) + np.triu(D, 1).T
+    return SimplifiedInstance(D=D, R=inst.R, p=rng.choice([0.0, 0.5, 1.0], n))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", ["halves", "one served", "level"])
+def test_brute_force_matches_reference_on_tie_heavy_instances(kind, n, seed):
+    inst = tie_heavy(kind, n, seed)
+    res = brute_force(inst)
+    assert (res.cost.value, res.order.sequence, res.order.orient) == reference_brute_force(inst)
+
+
+def test_tie_heavy_search_settles_only_the_near_pairs(monkeypatch):
+    # p = (1, 1/2, 1/2, 0, 0, 0, 0): the near rows are many, but of each only
+    # the orientations within the window reach the kernel.
+    n = 7
+    inst = tie_heavy("halves", n, 0)
+    rows, pairs = near_screen(inst, hop_table(inst), evaluate.scenario_matrix(n)[:, ::-1])
+    settled = []
+    kernel = solvers.weighted_tour_costs
+
+    def spied(D, a, b, W):
+        settled.extend(settled_pairs(inst, a))
+        return kernel(D, a, b, W)
+
+    monkeypatch.setattr(solvers, "weighted_tour_costs", spied)
+    res = brute_force(inst)
+    assert settled == pairs
+    assert (res.order.sequence, res.order.orient) in pairs
+    assert len(settled) < len(rows) << n <= math.factorial(n - 1) << n
+
+
 def refuse_the_screen(monkeypatch):
     def refused(*args):
         raise AssertionError("screen built")
@@ -694,16 +774,18 @@ def test_orientation_free_instances_settle_one_orientation(monkeypatch, kind):
     inst = tsp_to_setp(gen_random_tsp(n, seed=3), 0.01)[0] if "gadget" in kind else gen_random_simplified(n, seed=3)
     p = np.random.default_rng(3).random(n) if kind == "gadget of random p" else np.ones(n)
     inst = SimplifiedInstance(D=inst.D, R=inst.R, p=p)
-    widths = set()
+    settled = []
     kernel = solvers.weighted_tour_costs
 
     def spied(D, a, b, W):
-        widths.add(a.shape[1])
+        settled.extend(settled_pairs(inst, a))
         return kernel(D, a, b, W)
 
     monkeypatch.setattr(solvers, "weighted_tour_costs", spied)
     res = brute_force(inst)
-    assert widths == {2**n if kind == "random D" else 1}
+    orients = {orient for _, orient in settled}
+    assert orients == ({(0,) * n} if "gadget" in kind else set(itertools.product((0, 1), repeat=n)))
+    assert len(settled) == len({seq for seq, _ in settled}) * len(orients)
     cost, seq, orient = reference_brute_force(inst)
     assert (res.cost.value, res.order.sequence, res.order.orient) == (cost, seq, orient)
 
@@ -738,16 +820,17 @@ def served_everywhere(draw):
 @settings(max_examples=40, deadline=None)
 @given(inst=served_everywhere())
 def test_held_karp_rows_settle_as_the_screen(inst):
-    # Both producers' rows, settled by the same kernel pass, give the same
-    # (sequence, orient, cost), which is the reference's for n <= 6.
+    # The Held-Karp rows settled over every orientation and the screen's near
+    # pairs settled alone give the same (sequence, orient, cost), which is the
+    # reference's for n <= 6.
     n = inst.n
     orients = evaluate.scenario_matrix(n)[:, ::-1]
-    got = []
     hop = hop_table(inst)  # both orientations, even where neither matters
-    for rows in (solvers._held_karp_rows(hop), solvers._screened_rows(hop, inst.p, orients)):
-        cost, index = solvers._least(inst, rows[:, None], orients)
-        i, o = divmod(index, len(orients))
-        got.append((repr(cost), tuple(rows[i].tolist()), tuple(orients[o].tolist())))
+    rows = solvers._held_karp_rows(hop)
+    cost, index = solvers._least(inst, rows[:, None], orients)
+    i, o = divmod(index, len(orients))
+    got = [(cost, rows[i], orients[o]), solvers._screened_least(inst, hop, orients)]
+    got = [(repr(cost), tuple(seq.tolist()), tuple(orient.tolist())) for cost, seq, orient in got]
     assert got[0] == got[1]
     if n <= 6:
         cost, seq, orient = reference_brute_force(inst)
@@ -875,6 +958,21 @@ class TestBruteForceTsp:
 
         monkeypatch.setattr(solvers, "_held_karp_rows", refused)
         assert brute_force_tsp(1 - np.eye(10)) == (tuple(range(10)), 10.0)
+
+    def test_all_equal_cities_in_bounded_memory(self):
+        # All 9! tours tie. The int8 tour table and the float sums over it keep
+        # the traced peak under 24 MB.
+        brute_force_tsp(1 - np.eye(3))  # a first call's one-off allocations stay untraced
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = brute_force_tsp(1 - np.eye(10))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res == (tuple(range(10)), 10.0)
+        assert peak < 24e6
 
     def test_square(self):
         # 4 points on a unit square: optimum is the perimeter, length 4
