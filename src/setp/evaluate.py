@@ -170,12 +170,7 @@ def expected_cost_closed_form(order: AprioriOrder, inst: SimplifiedInstance) -> 
 
 def scenario_matrix(n: int) -> np.ndarray:
     """All 2^n served indicators as a C-contiguous bool matrix; the row of
-    scenario k holds the bits of k, position i = bit i.
-
-    Brute force broadcasts these rows as orientations into
-    `weighted_tour_costs`, whose row sums follow the memory layout of its
-    operands: a transposed view would change their rounding.
-    """
+    scenario k holds the bits of k, position i = bit i."""
     return np.arange(1 << n)[:, None] >> np.arange(n) & 1 == 1
 
 

@@ -75,12 +75,13 @@ def _rounding_bound(n: int, M: np.ndarray) -> float:
     V - C + b, b/16 more when the screen estimates its mirror (two kernel
     values of one exact sum), and a Held-Karp prefix takes the least of its
     completions, no more than the tie's own; no estimate is below V - C - b.
-    So every tie lies within 2b + b/16 < 3b of the least estimate. Brute
-    force keeps a row when the representative of its mirror pair has an
+    So every tie lies within 2b + b/16 < 3b of the least estimate. The
+    screen keeps a row when the representative of its mirror pair has an
     estimate within the window, then each (sequence, orientation) pair of
     that row by the pair's own estimate: a tie's own is at most V - C + b, so
-    both steps keep it. The bound
-    also decides a local-search sweep whose least delta lies beyond +-b: above
+    both steps keep it. Held-Karp keeps a row by the least estimate over its
+    orientations and settles the row in every orientation. The bound also
+    decides a local-search sweep whose least delta lies beyond +-b: above
     b every move costs more than the current order, and below -b a move that
     is alone in the window costs less, so the kernel settles neither.
 
@@ -116,23 +117,24 @@ def _rounding_bound(n: int, M: np.ndarray) -> float:
     return n**2 * float(np.abs(M).max()) * 2.0**-44
 
 
-def _least(inst: SimplifiedInstance, seqs: np.ndarray, orients: np.ndarray) -> tuple[float, int]:
-    """First least `weighted_tour_costs` value of screened candidates and its
-    row-major index, in calls of at most BATCH_CELLS cells: (k, n) sequences
-    with (k, n) orientations, or (k, 1, n) against (r, n). A NaN never wins; a
-    set with no value below inf, an empty one included, raises ValueError.
-    Every caller's window holds each candidate that ties (`_rounding_bound`).
+def _least(inst: SimplifiedInstance, pairs) -> tuple[float, np.ndarray, np.ndarray]:
+    """(cost, sequence, orient) of the first least `weighted_tour_costs` value
+    over blocks of screened candidates, each (k, n) sequences with their (k, n)
+    orientations in the caller's order, settled in calls of at most
+    BATCH_CELLS cells. A NaN never wins; no value below inf, or no candidate
+    at all, raises ValueError. Every caller's window holds each candidate
+    that ties (`_rounding_bound`).
     """
-    orients = np.broadcast_to(orients, np.broadcast_shapes(seqs.shape, orients.shape))
-    cost, index = np.inf, -1
-    for s in _blocks(len(seqs), np.prod(orients.shape[1:])):
-        costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[s], orients[s])).ravel()
-        i = int(np.argmin(np.where(costs < cost, costs, np.inf)))  # earlier ties and NaN lose
-        if costs[i] < cost:
-            cost, index = float(costs[i]), s.start * costs.size // (s.stop - s.start) + i
-    if index < 0:
+    cost, seq, orient = np.inf, None, None
+    for seqs, orients in pairs:
+        for s in _blocks(len(seqs), seqs.shape[1]):
+            costs = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[s], orients[s]))
+            i = int(np.argmin(np.where(costs < cost, costs, np.inf)))  # earlier ties and NaN lose
+            if costs[i] < cost:
+                cost, seq, orient = float(costs[i]), seqs[s][i], orients[s][i]
+    if seq is None:
         raise ValueError("no candidate has a cost below inf")
-    return cost, index
+    return cost, seq, orient
 
 
 def _permutation_rows(m: int) -> np.ndarray:
@@ -148,18 +150,15 @@ def _permutation_rows(m: int) -> np.ndarray:
     return np.hstack([np.zeros((len(perms), 1), dtype=np.int8), perms + 1])
 
 
-def _screened_least(
-    inst: SimplifiedInstance, hop: np.ndarray, orients: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(cost, sequence, orient) of the first least kernel value over the
-    screen's near (sequence, orientation) pairs.
+def _screened_pairs(inst: SimplifiedInstance, hop: np.ndarray, orients: np.ndarray):
+    """Blocks of the screen's near (sequence, orientation) pairs, each sorted.
 
     The representatives (0, s_1, ..., s_(n-1)) with s_1 < s_(n-1) are
     screened in blocks, over all the given orientations at once, by
     `_orientation_costs`. Those with an orientation within the window of
     `_rounding_bound` of the least hop sum, and their mirrors, are the near
-    rows. Block by block these are screened again, and `_least` settles
-    their pairs within the window in lexicographic order, column x of edge
+    rows. Block by block these are screened again, and their pairs within
+    the window are yielded in lexicographic order, column x of edge
     orientations read as the position orientations x[s_i].
     """
     n = len(inst.p)
@@ -173,21 +172,11 @@ def _screened_least(
     near = reps[least <= window]
     rows = np.unique(np.concatenate([near, near[:, mirror]]), axis=0)
     place = 1 << np.arange(n)[::-1]  # position 0 as the high bit, as in the rows of `orients`
-    best = np.inf, None, None
     for s in _blocks(len(rows), n << n):
         k, x = np.nonzero(score(rows[s]) <= window)
         pos = orients[x[:, None], rows[s][k]]  # pos[j, i]: orientation of edge s_i in column x_j
         pairs = np.lexsort((pos @ place, k))
-        seqs, pos = rows[s][k[pairs]], pos[pairs]
-        try:
-            cost, i = _least(inst, seqs, pos)
-        except ValueError:  # no pair of this block costs less than inf
-            continue
-        if cost < best[0]:
-            best = cost, seqs[i], pos[i]
-    if best[1] is None:
-        raise ValueError("no candidate has a cost below inf")
-    return best
+        yield rows[s][k[pairs]], pos[pairs]
 
 
 def _held_karp_rows(hop: np.ndarray) -> np.ndarray:
@@ -246,9 +235,9 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     (0, s_1, ..., s_(n-1)) and its mirror (0, s_(n-1), ..., s_1), with every
     orientation flipped, are one cycle driven both ways at the same cost.
 
-    A producer lists, sorted, every candidate that may tie the least kernel
-    value (the window of `_rounding_bound`): rows, each settled over every
-    orientation, or pairs. `_least` re-scores them with `weighted_tour_costs`,
+    A producer yields every candidate that may tie the least kernel value
+    (the window of `_rounding_bound`) in sorted blocks of (sequence,
+    orientation) pairs. `_least` re-scores them with `weighted_tour_costs`,
     so the result does not depend on the producer. Exact-cost ties of that
     kernel go to the lexicographically smallest (sequence, orient). When no hop
     D[head_e, tail_f], e != f, depends on the orientations (a `tsp_to_setp`
@@ -256,9 +245,10 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     a sequence scores the same float, so orientation 0 wins, and it is the
     only one screened and settled. The producer depends on p:
     - every p = 0, D finite: every kernel value is exactly 0.0, so the first
-      candidate wins, and the identity sequence is the one row;
-    - every p = 1, n >= 3 (the TSP gadget): `_held_karp_rows` in O(2^n n^2);
-    - otherwise `_screened_least`: the representatives with s_1 < s_(n-1),
+      candidate wins: the identity sequence in orientation 0 is the one pair;
+    - every p = 1, n >= 3 (the TSP gadget): `_held_karp_rows` in O(2^n n^2),
+      each row paired with every orientation, row by row;
+    - otherwise `_screened_pairs`: the representatives with s_1 < s_(n-1),
       in blocks, each scored over all orientations at once by one product of
       its hop weights with the hop table (`_orientation_costs`); then only the
       near (sequence, orientation) pairs, each kept by its own screen, are
@@ -279,13 +269,15 @@ def brute_force(inst: SimplifiedInstance, max_n: int = BRUTE_FORCE_GUARD) -> Sol
     between = hop[~np.eye(n, dtype=bool)]
     if (between == between[:, :1, :1]).all():
         hop, orients = hop[:, :, :1, :1], orients[:1]
-    nothing_served = not inst.p.any() and np.isfinite(inst.D).all()
-    if nothing_served or (n >= 3 and (inst.p == 1.0).all()):
-        rows = np.arange(n)[None] if nothing_served else _held_karp_rows(hop)
-        cost, index = _least(inst, rows[:, None], orients)
-        seq, orient = rows[index // len(orients)], orients[index % len(orients)]
+    if not inst.p.any() and np.isfinite(inst.D).all():
+        pairs = [(np.arange(n)[None], orients[:1])]
+    elif n >= 3 and (inst.p == 1.0).all():
+        rows = _held_karp_rows(hop)
+        pairs = ((np.repeat(rows[s], len(orients), axis=0), np.tile(orients, (s.stop - s.start, 1)))
+                 for s in _blocks(len(rows), orients.size))
     else:
-        cost, seq, orient = _screened_least(inst, hop, orients)
+        pairs = _screened_pairs(inst, hop, orients)
+    cost, seq, orient = _least(inst, pairs)
     return SolveResult(
         order=AprioriOrder(tuple(int(x) for x in seq), tuple(int(x) for x in orient)),
         cost=ExpectedCost(value=cost, method=CLOSED_FORM),
@@ -446,10 +438,10 @@ def local_search(inst: SimplifiedInstance, init: AprioriOrder, budget: int = 1_0
                 continue
             if cost is None:
                 cost = expected_cost_closed_form(AprioriOrder(seq, orient), inst).value
-            least, best = _least(inst, s2, o2)  # all moves when all tie, as with p = 0
+            least, s2, o2 = _least(inst, [(s2, o2)])  # all moves when all tie, as with p = 0
             settles += 1
             if least < cost:  # the first least is the first strict minimum when it improves
-                cost, seq, orient = least, s2[best], o2[best]
+                cost, seq, orient = least, s2, o2
                 continue
         if k == len(move_i):
             stop = "local_optimum"

@@ -354,7 +354,9 @@ class TestSolveCommand:
     # Held-Karp rows must settle to the same bytes. The gadget of random p
     # (screened in one orientation) and the random D with p from {0, 1/2, 1}
     # were recorded while the screen still added the service and wrap terms
-    # to its hop sums: dropping that constant must not change any output.
+    # to its hop sums: dropping that constant must not change any output. The
+    # every-p-is-0 instance was recorded while its identity sequence was still
+    # settled over every orientation, not as its one pair in orientation 0.
     @pytest.mark.parametrize(
         "inst, digest",
         [(gen_random_simplified(7, seed=3), "d0800a840c059abc3e4c35b97f81ef5d37ba42624b1b68f530381a00d4b67deb"),
@@ -368,8 +370,11 @@ class TestSolveCommand:
          (with_p(gadget(gen_random_tsp(8, seed=4)), np.random.default_rng(4).random(8)),
           "f0713ff24343bebc5446765d2aba57577b0d787648bfc7e22c7dca9b19167962"),
          (with_p(gen_random_simplified(8, seed=5), np.random.default_rng(5).choice([0.0, 0.5, 1.0], 8)),
-          "e1a9612fb394c3dae369895e4ca2bfb4a185551576030f709455afa62c7658fa")],
-        ids=["random-7", "metric-9", "gadget-7", "gadget-8", "metric-9-p1", "gadget-8-random-p", "random-8-half-p"],
+          "e1a9612fb394c3dae369895e4ca2bfb4a185551576030f709455afa62c7658fa"),
+         (with_p(gen_random_simplified(8, seed=6), np.zeros(8)),
+          "c6bd7b077bfe2f05ddd6896928045ef5d9047f73f07d102f4aaf2374c192b796")],
+        ids=["random-7", "metric-9", "gadget-7", "gadget-8", "metric-9-p1", "gadget-8-random-p", "random-8-half-p",
+             "random-8-p0"],
     )
     def test_exact_stdout_bytes(self, tmp_path, capsys, inst, digest):
         path = tmp_path / "s.json"

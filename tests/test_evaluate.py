@@ -286,17 +286,20 @@ class TestClosedForm:
         orients = np.array([o.orient for o in orders])
         batch = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs, orients))
         assert batch.tolist() == [expected_cost_closed_form(o, inst).value for o in orders]
-        # brute force's broadcast: (k, 1, n) sequences against all 2^n
-        # orientations (the drawn ones where 2^n is too many)
+        # (k, 1, n) sequences broadcast against all 2^n orientations (the
+        # drawn ones where 2^n is too many) score each (sequence, orientation)
+        # pair to the bits of its own row, the row-major pair rows that exact
+        # search settles
         every = scenario_matrix(n) if n <= 8 else orients
         grid = weighted_tour_costs(inst.D, *_oriented_rows(inst, seqs[:, None], every))
         rows = _oriented_rows(inst, np.repeat(seqs, len(every), axis=0), np.tile(every, (len(seqs), 1)))
         assert grid.ravel().tolist() == weighted_tour_costs(inst.D, *rows).tolist()
 
-    # The kernel's calls: one order (1-D), local search's (k, n) neighbours, and
-    # brute force's (k, 1, n) sequences against (r, n) orientations. A cap of 1
-    # to rows * n * n cells splits the n - 1 shifts into blocks of any size, from
-    # one shift to all of them, a short last block included.
+    # The kernel's shapes: one order (1-D), the (k, n) pair rows that every
+    # search settles, and (k, 1, n) sequences broadcast against (r, n)
+    # orientations. A cap of 1 to rows * n * n cells splits the n - 1 shifts
+    # into blocks of any size, from one shift to all of them, a short last
+    # block included.
     @settings(max_examples=300, deadline=None)
     @given(case=instance_and_order(max_n=40), data=st.data())
     def test_bit_equal_to_one_shift_at_a_time(self, case, data):

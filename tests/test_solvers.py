@@ -460,6 +460,28 @@ def test_searches_reject_a_nan_probability():
         local_search(nan, nearest_neighbor(nan))
 
 
+def test_least_keeps_the_first_least_across_blocks(monkeypatch):
+    # A stub kernel scores each pair by the p of its first edge, so each block
+    # below is a hand-made list of costs, split into kernel calls of two pairs.
+    inst = SimplifiedInstance(D=np.zeros((12, 12)), R=[(2 * e, 2 * e + 1) for e in range(6)],
+                              p=[3.0, np.nan, 1.0, 1.0, np.inf, 2.0])
+    monkeypatch.setattr(solvers, "weighted_tour_costs", lambda D, a, b, W: W[:, 0])
+    monkeypatch.setattr(evaluate, "BATCH_CELLS", 2)
+
+    def least(*blocks):
+        pairs = [(np.array(b, dtype=int).reshape(-1, 1), np.arange(len(b)).reshape(-1, 1) % 2 == 1) for b in blocks]
+        cost, seq, orient = solvers._least(inst, pairs)
+        return repr(cost), seq.tolist(), orient.tolist()
+
+    assert least([0, 3], [2]) == ("1.0", [3], [True])  # an equal value in a later block loses
+    assert least([0, 0, 2, 3]) == ("1.0", [2], [False])  # and in a later call or row of one block
+    assert least([1, 0], [4, 1]) == ("3.0", [0], [True])  # NaN and inf never win
+    assert least([], [5]) == ("2.0", [5], [False])  # an empty block is skipped
+    for blocks in [(), ([],), ([1, 4], [], [1])]:
+        with pytest.raises(ValueError, match="no candidate"):
+            least(*blocks)
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_permutation_rows_match_itertools(m):
     rows = solvers._permutation_rows(m)
@@ -748,21 +770,23 @@ def refuse_the_screen(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_brute_force_takes_the_identity_when_nothing_is_served(monkeypatch, n):
     # Every kernel value is exactly 0.0, so the first candidate wins: only its
-    # sequence is settled, and no sequence is listed or screened.
-    # `evaluations` still counts every candidate.
+    # pair, the identity sequence in orientation 0, is settled, and no
+    # sequence is listed or screened. `evaluations` still counts every
+    # candidate.
     inst = gen_random_simplified(n, seed=n, metric=n % 2 == 0)
     settled = []
     kernel = solvers.weighted_tour_costs
 
     def spied(D, a, b, W):
-        settled.append(len(a))
+        settled.extend(settled_pairs(inst, a))
         return kernel(D, a, b, W)
 
     monkeypatch.setattr(solvers, "weighted_tour_costs", spied)
     refuse_the_screen(monkeypatch)
     res = brute_force(SimplifiedInstance(D=inst.D, R=inst.R, p=np.zeros(n)))
     assert (res.order, repr(res.cost.value)) == (AprioriOrder(tuple(range(n)), (0,) * n), "0.0")
-    assert settled == [1] and res.evaluations == math.factorial(n - 1) * 2**n
+    assert settled == [(tuple(range(n)), (0,) * n)]
+    assert res.evaluations == math.factorial(n - 1) * 2**n
 
 
 @pytest.mark.parametrize("kind", ["gadget", "gadget of random p", "random D"])
@@ -820,16 +844,15 @@ def served_everywhere(draw):
 @settings(max_examples=40, deadline=None)
 @given(inst=served_everywhere())
 def test_held_karp_rows_settle_as_the_screen(inst):
-    # The Held-Karp rows settled over every orientation and the screen's near
-    # pairs settled alone give the same (sequence, orient, cost), which is the
+    # The Held-Karp rows, each paired with every orientation, and the screen's
+    # near pairs settle to the same (sequence, orient, cost), which is the
     # reference's for n <= 6.
     n = inst.n
     orients = evaluate.scenario_matrix(n)[:, ::-1]
     hop = hop_table(inst)  # both orientations, even where neither matters
     rows = solvers._held_karp_rows(hop)
-    cost, index = solvers._least(inst, rows[:, None], orients)
-    i, o = divmod(index, len(orients))
-    got = [(cost, rows[i], orients[o]), solvers._screened_least(inst, hop, orients)]
+    every = [(np.repeat(rows, len(orients), axis=0), np.tile(orients, (len(rows), 1)))]
+    got = [solvers._least(inst, every), solvers._least(inst, solvers._screened_pairs(inst, hop, orients))]
     got = [(repr(cost), tuple(seq.tolist()), tuple(orient.tolist())) for cost, seq, orient in got]
     assert got[0] == got[1]
     if n <= 6:
