@@ -12,6 +12,7 @@ from collections import namedtuple
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .core import OriginalInstance, SimplifiedInstance, TspInstance, validate_original, validate_simplified, validate_tsp
 
@@ -105,43 +106,41 @@ def _bracketed(items, level: int) -> str:
 
 def _array_text(a: np.ndarray) -> str:
     """`a`, a non-empty square float matrix, as json.dumps(a.tolist(), indent=1)
-    writes it one level deep, with each row joined from float.__repr__ texts."""
+    writes it one level deep. The finiteness check comes first: orjson would
+    write NaN and the infinities as null."""
     if not np.isfinite(a).all():
         raise ValueError("Out of range float values are not JSON compliant")
     return _bracketed(_square_rows(a), 1)
 
 
-_repr = np.frompyfunc(float.__repr__, 1, 1)  # float.__repr__ of each entry, as an object array
-
-
 def _square_rows(a: np.ndarray):
-    """The rows of the square float array `a` as `_array_text` writes them,
-    formatting each mirrored pair once.
+    """The rows of the square float array `a` as `_array_text` writes them.
 
-    Row i formats its entries on and above the diagonal into `texts`. An entry
-    left of the diagonal takes its mirror's text, kept in column i, when the
-    two have the same bits (so -0.0 and 0.0, or floats one ulp apart, are each
-    formatted); the others are formatted. Column i is dropped once row i is
-    written, so no more than about a quarter of the texts is kept at once.
+    orjson formats each row. For 0 and every magnitude in [1e-4, 1e16) its
+    text is float.__repr__'s, the shortest that reads back to the same float;
+    outside that range the digits agree but the layout does not (orjson
+    writes 1e-5 where repr writes 1e-05), so a row holding such an entry has
+    those entries formatted by float.__repr__. orjson reads only C-ordered
+    native float64, so `a` is handed over as that.
     """
-    n = len(a)
-    bits = a.view(np.int64)
-    texts = np.empty((n, n), dtype=object)
-    for i in range(n):
-        texts[i, i:] = _repr(a[i, i:])
-        left = texts[:i, i]  # the mirrors' texts, overwritten where the bits differ
-        differ = bits[i, :i] != bits[:i, i]
-        left[differ] = _repr(a[i, :i][differ])
-        yield _bracketed(left.tolist() + texts[i, i:].tolist(), 2)
-        texts[:, i] = None
+    for row in np.ascontiguousarray(a, dtype=np.float64):
+        text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        mag = np.abs(row)
+        exponent_form = np.flatnonzero(((mag < 1e-4) & (mag != 0)) | (mag >= 1e16))
+        if exponent_form.size:
+            texts = text.split(",")
+            for j in exponent_form.tolist():
+                texts[j] = float.__repr__(row[j])
+            text = ",".join(texts)
+        yield "[\n   " + text.replace(",", ",\n   ") + "\n  ]"
 
 
 def dumps(obj) -> str:
     """The JSON text of `obj`'s document, as json.dumps(indent=1, allow_nan=False,
     default=np.ndarray.tolist) writes it. The pure-Python encoder that indent=1
     selects is slow on a matrix, so each non-empty square matrix is written by
-    `_array_text`, which formats each mirrored pair of a symmetric matrix once;
-    every other value goes through json.dumps."""
+    `_array_text`, row by row through orjson; every other value goes through
+    json.dumps."""
     parts = []  # joined once, so a large array's text is copied only into the result
     for key, value in to_document(obj).items():
         if isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[0] == value.shape[1] > 0:

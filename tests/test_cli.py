@@ -119,6 +119,32 @@ class TestSerialization:
         with pytest.raises(ValueError):
             serialize.dumps(obj)
 
+    @pytest.mark.parametrize(
+        "x",
+        [1e-4, -1e-4, float(np.nextafter(1e-4, 0)), 1e16, -1e16, float(np.nextafter(1e16, 0)), 5e-324,
+         2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0, 2.0**53 + 2,
+         default_epsilon(gen_random_tsp(5, seed=1).C)],
+    )
+    def test_dumps_of_matrix_at_the_switch_points_of_the_text_rule_is_json_dumps(self, x):
+        # 0 and magnitudes in [1e-4, 1e16) are written by orjson, the rest by float.__repr__
+        obj = TspInstance(np.array([[0.0, x, 0.5], [x, x, x], [0.25, -x, 7.0]]))
+        doc = serialize.to_document(obj)
+        assert serialize.dumps(obj) == json.dumps(doc, indent=1, allow_nan=False, default=np.ndarray.tolist) + "\n"
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda a: a.astype(">f8"), lambda a: np.asfortranarray(a.astype(">f8"))],
+        ids=["fortran", "big-endian", "fortran-big-endian"],
+    )
+    def test_dumps_is_the_same_for_any_array_layout(self, layout):
+        M = np.arange(36.0).reshape(6, 6) / 7  # not symmetric: a column read as a row would show
+        M[0, 1], M[4, 2] = 3e-9, -1e20
+        p = np.array([0.5, 0.25, 1.0])
+        R = ((0, 1), (2, 3), (4, 5))
+        assert serialize.dumps(TspInstance(layout(M))) == serialize.dumps(TspInstance(M))
+        assert serialize.dumps(SimplifiedInstance(D=layout(M), R=R, p=p)) == serialize.dumps(SimplifiedInstance(D=M, R=R, p=p))
+        assert serialize._array_text(layout(M)) == serialize._array_text(M)  # past the instances' own copy
+
     @settings(max_examples=300, deadline=None)
     @given(DOCUMENT_OBJECTS)
     def test_reader_table_reads_back_what_dumps_writes(self, obj):
