@@ -98,23 +98,23 @@ def from_document(doc: dict[str, Any]):
     raise FormatError("unknown kind %r" % kind)
 
 
-def _bracketed(items, level: int) -> str:
-    """The texts `items` as json.dumps(indent=1) writes a list of them `level` levels deep."""
-    inner = ",\n" + " " * (level + 1)
-    return "[" + inner[1:] + inner.join(items) + "\n" + " " * level + "]"
-
-
-def _array_text(a: np.ndarray) -> str:
+def _array_parts(a: np.ndarray) -> list[str]:
     """`a`, a non-empty square float matrix, as json.dumps(a.tolist(), indent=1)
-    writes it one level deep. The finiteness check comes first: orjson would
-    write NaN and the infinities as null."""
+    writes it one level deep, in parts: each row's text is one part, so the
+    matrix's text is never built as one string. The finiteness check comes
+    first: orjson would write NaN and the infinities as null."""
     if not np.isfinite(a).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    return _bracketed(_square_rows(a), 1)
+    parts = []
+    for row in _square_rows(a):
+        parts += [",\n  ", row]
+    parts[0] = "[\n  "
+    parts.append("\n ]")
+    return parts
 
 
 def _square_rows(a: np.ndarray):
-    """The rows of the square float array `a` as `_array_text` writes them.
+    """The rows of the square float array `a` as `_array_parts` writes them.
 
     orjson formats each row. For 0 and every magnitude in [1e-4, 1e16) its
     text is float.__repr__'s, the shortest that reads back to the same float;
@@ -135,27 +135,34 @@ def _square_rows(a: np.ndarray):
         yield "[\n   " + text.replace(",", ",\n   ") + "\n  ]"
 
 
-def dumps(obj) -> str:
+def _parts(obj) -> list[str]:
     """The JSON text of `obj`'s document, as json.dumps(indent=1, allow_nan=False,
-    default=np.ndarray.tolist) writes it. The pure-Python encoder that indent=1
-    selects is slow on a matrix, so each non-empty square matrix is written by
-    `_array_text`, row by row through orjson; every other value goes through
-    json.dumps."""
-    parts = []  # joined once, so a large array's text is copied only into the result
+    default=np.ndarray.tolist) writes it, in parts. The pure-Python encoder
+    that indent=1 selects is slow on a matrix, so each non-empty square matrix
+    is written by `_array_parts`, row by row through orjson; every other value
+    goes through json.dumps."""
+    parts = []
     for key, value in to_document(obj).items():
+        parts += [",\n ", json.dumps(key), ": "]
         if isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[0] == value.shape[1] > 0:
-            text = _array_text(value)
+            parts += _array_parts(value)
         else:  # json writes no raw newline inside a string
-            text = json.dumps(value, indent=1, allow_nan=False, default=np.ndarray.tolist).replace("\n", "\n ")
-        parts += [",\n ", json.dumps(key), ": ", text]
+            parts.append(json.dumps(value, indent=1, allow_nan=False, default=np.ndarray.tolist).replace("\n", "\n "))
     parts[0] = "{\n "
     parts.append("\n}\n")
-    return "".join(parts)
+    return parts
+
+
+def dumps(obj) -> str:
+    """The JSON text of `obj`'s document (see `_parts`), joined once."""
+    return "".join(_parts(obj))
 
 
 def save(obj, path) -> None:
+    """Write `obj`'s document to `path` part by part, never as one string."""
+    parts = _parts(obj)
     with open(path, "w") as fh:
-        fh.write(dumps(obj))
+        fh.writelines(parts)
 
 
 def _reject_constant(token: str):
@@ -163,10 +170,22 @@ def _reject_constant(token: str):
 
 
 def _read(path):
-    """The JSON document in a file; OSError if the file cannot be read."""
+    """The JSON document in a file; OSError if the file cannot be read.
+
+    json's scanner reads the document, and orjson.loads each numeral with a
+    fraction or exponent: the same float as json's own float(), about twice as
+    fast. orjson rejects a numeral past the double range, which float() reads
+    as an infinity, so such a document is read again by json alone. It then
+    loads, and the validators report the infinity as a violation of the
+    instance, not as a file that does not parse.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            text = fh.read()
+        try:
+            return json.loads(text, parse_float=orjson.loads, parse_constant=_reject_constant)
+        except orjson.JSONDecodeError:
+            return json.loads(text, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 and JSON errors are ValueErrors
         raise FormatError("invalid JSON: %s" % exc) from exc
 

@@ -48,6 +48,7 @@ class TestOrderSpec:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0, subnormals and 1e308 included
+NUMERALS = st.from_regex(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?", fullmatch=True)  # every JSON number
 MATRICES = arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4), elements=FINITE)
 
 
@@ -143,13 +144,42 @@ class TestSerialization:
         R = ((0, 1), (2, 3), (4, 5))
         assert serialize.dumps(TspInstance(layout(M))) == serialize.dumps(TspInstance(M))
         assert serialize.dumps(SimplifiedInstance(D=layout(M), R=R, p=p)) == serialize.dumps(SimplifiedInstance(D=M, R=R, p=p))
-        assert serialize._array_text(layout(M)) == serialize._array_text(M)  # past the instances' own copy
+        assert serialize._array_parts(layout(M)) == serialize._array_parts(M)  # past the instances' own copy
 
     @settings(max_examples=300, deadline=None)
     @given(DOCUMENT_OBJECTS)
     def test_reader_table_reads_back_what_dumps_writes(self, obj):
         text = serialize.dumps(obj)
         assert serialize.dumps(serialize.from_document(json.loads(text))) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(numerals=st.lists(st.one_of(FINITE.map(repr), NUMERALS), min_size=1, max_size=20))
+    def test_read_is_json_loads_on_any_numeral(self, numerals, tmp_path_factory):
+        # repr tells -0.0 from 0.0, and an inf read back from one past the double range
+        text = "[" + ", ".join(numerals) + "]"
+        path = tmp_path_factory.mktemp("read") / "x.json"
+        path.write_text(text)
+        assert repr(serialize._read(path)) == repr(json.loads(text))
+
+    @pytest.mark.parametrize(
+        "numeral",
+        ["1e999", "-1e999", "1e+99999999999999999999", "1e-999", "-1e-400", "5e-324",
+         "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623158e308",
+         "1.7976931348623159e308", "2.2250738585072011e-308", pytest.param("0." + "3" * 400, id="400-digit-mantissa")],
+    )
+    def test_read_of_numerals_at_the_edges_of_the_double_range_is_json_loads(self, numeral, tmp_path):
+        # 2.4703282292062327e-324 reads as 0.0, 1.7976931348623158e308 as the largest double,
+        # 1.7976931348623159e308 as inf; orjson rejects the numerals that read as inf
+        text = "[0.5, %s, 2.5]" % numeral
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        assert repr(serialize._read(path)) == repr(json.loads(text))
+
+    def test_read_past_the_double_range_still_reports_a_later_syntax_error(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[1e999, 2.0,, 3.0]")
+        with pytest.raises(serialize.FormatError, match="Expecting value"):
+            serialize._read(path)
 
     @pytest.mark.parametrize(
         "obj",
